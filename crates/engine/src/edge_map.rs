@@ -14,6 +14,15 @@
 //!   atomics and per-partition work equals the "active edges per
 //!   partition" of Table IV (Polymer/GraphGrind sparse).
 //!
+//! The two dense kernels own a contiguous destination range per task
+//! (`pg.tasks().range(t)`; a COO chunk holds exactly that range's
+//! in-edges), so they build their slice of the next frontier in
+//! task-local plain words ([`AtomicBitset::range_writer`]) — no locked
+//! instruction per edge or per destination; only the per-word flush is
+//! atomic, because unaligned task bounds share their boundary words. The
+//! two sparse kernels write destinations that any concurrent task may
+//! also write, and keep the per-bit atomic [`AtomicBitset::set`].
+//!
 //! Every call returns an [`EdgeMapReport`] with per-task durations and
 //! work counts; the scheduling simulator turns those into the simulated
 //! 48-thread makespan.
@@ -312,7 +321,6 @@ pub(crate) fn edge_map_impl<O: EdgeOp>(
     frontier: &Frontier,
     op: &O,
     force_dense: Option<bool>,
-    threshold_den: usize,
     policy: &TaskPolicy,
 ) -> (Frontier, EdgeMapReport) {
     let g = pg.graph();
@@ -328,6 +336,7 @@ pub(crate) fn edge_map_impl<O: EdgeOp>(
             },
         );
     }
+    let threshold_den = policy.threshold_den;
     let dense = force_dense.unwrap_or_else(|| frontier.is_dense_for(g, threshold_den));
     let next = AtomicBitset::new(n);
     // A dirty epoch's COO chunks and sub-CSRs describe the snapshot
@@ -350,7 +359,7 @@ pub(crate) fn edge_map_impl<O: EdgeOp>(
         }
     } else {
         let f = frontier.to_sparse();
-        let active: &[VertexId] = match &f {
+        let active: &[VertexId] = match &*f {
             Frontier::Sparse { vertices, .. } => vertices,
             Frontier::Dense { .. } => unreachable!("to_sparse returned dense"),
         };
@@ -370,7 +379,7 @@ pub(crate) fn edge_map_impl<O: EdgeOp>(
     let output_size = out.len();
     // Representation switch on output size, as all three systems do.
     let out = if output_size * threshold_den < n {
-        out.to_sparse()
+        out.to_sparse().into_owned()
     } else {
         out
     };
@@ -476,6 +485,8 @@ fn dense_pull_scan<O: EdgeOp, S: NeighborScan>(
     policy.run(tasks.num_partitions(), |t| {
         let mut edges = 0u64;
         let vertices = tasks.range(t).len() as u64;
+        // The task owns these destinations: no locked RMW per activation.
+        let mut out = next.range_writer(tasks.range(t));
         for v in tasks.range(t) {
             let vid = v as VertexId;
             if !op.cond(vid) {
@@ -502,7 +513,7 @@ fn dense_pull_scan<O: EdgeOp, S: NeighborScan>(
                 true
             });
             if activated {
-                next.set(v);
+                out.set(v);
             }
         }
         (edges, vertices)
@@ -523,12 +534,15 @@ fn dense_coo<O: EdgeOp>(
         let (src, dst) = coo.partition_edges(p);
         let vertices = tasks.range(p).len() as u64;
         let ws = coo.has_weights().then(|| coo.partition_weights(p));
+        // A COO chunk holds exactly the in-edges of the task's range, so
+        // every activation lands in task-local words.
+        let mut out = next.range_writer(tasks.range(p));
         for e in 0..src.len() {
             let (u, v) = (src[e], dst[e]);
             if words[u as usize >> 6] >> (u as usize & 63) & 1 == 1 && op.cond(v) {
                 let w = ws.map_or(1.0, |ws| ws[e]);
                 if op.update(u, v, w) {
-                    next.set(v as usize);
+                    out.set(v as usize);
                 }
             }
         }

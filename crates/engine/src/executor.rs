@@ -181,7 +181,10 @@ impl Executor {
         self
     }
 
-    /// Overrides Ligra's density-threshold denominator (default 20).
+    /// Overrides Ligra's density-threshold denominator (default 20), used
+    /// for `edge_map`'s direction choice and for the sparse/dense
+    /// representation of every output frontier (`edge_map` and
+    /// `vertex_map` alike).
     pub fn with_threshold_den(mut self, den: usize) -> Executor {
         assert!(den >= 1);
         self.threshold_den = den;
@@ -263,14 +266,8 @@ impl Executor {
         op: &O,
         direction: Direction,
     ) -> (Frontier, EdgeMapReport) {
-        let (out, report) = edge_map_impl(
-            pg,
-            frontier,
-            op,
-            direction.forced(),
-            self.threshold_den,
-            &self.task_policy(),
-        );
+        let (out, report) =
+            edge_map_impl(pg, frontier, op, direction.forced(), &self.task_policy());
         if !self.sinks.is_empty() {
             // Classifying sums active out-degrees (O(|frontier|)); only
             // pay for it when someone is listening.
@@ -330,6 +327,7 @@ impl Executor {
                 _ => TaskExec::Sequential,
             },
             placement: self.placement_topology(),
+            threshold_den: self.threshold_den,
         }
     }
 }
@@ -346,6 +344,9 @@ enum TaskExec<'a> {
 pub(crate) struct TaskPolicy<'a> {
     exec: TaskExec<'a>,
     placement: Option<NumaTopology>,
+    /// The executor's density-threshold denominator: `edge_map`'s
+    /// direction choice and both operations' output-representation switch.
+    pub(crate) threshold_den: usize,
 }
 
 impl TaskPolicy<'_> {

@@ -2,6 +2,7 @@
 //! and automatic switching all three frameworks in the paper implement.
 
 use crate::shared::AtomicBitset;
+use std::borrow::Cow;
 use vebo_graph::{Graph, VertexId};
 
 /// A subset of the vertices, stored sparse (id list) or dense (bitmap).
@@ -175,49 +176,49 @@ impl Frontier {
         }
     }
 
-    /// Materializes the dense bitmap (no-op when already dense).
-    pub fn to_dense(&self) -> Frontier {
-        match self {
-            Frontier::Dense { .. } => self.clone(),
-            Frontier::Sparse {
-                num_vertices,
-                vertices,
-            } => {
-                let mut bits = vec![0u64; num_vertices.div_ceil(64)];
-                for &v in vertices {
-                    bits[v as usize >> 6] |= 1 << (v as usize & 63);
-                }
-                Frontier::Dense {
-                    bits,
-                    count: vertices.len(),
-                    num_vertices: *num_vertices,
-                }
-            }
+    /// The dense-bitmap form: borrows `self` when already dense (no copy),
+    /// materializes the bitmap otherwise.
+    pub fn to_dense(&self) -> Cow<'_, Frontier> {
+        let Frontier::Sparse {
+            num_vertices,
+            vertices,
+        } = self
+        else {
+            return Cow::Borrowed(self);
+        };
+        let mut bits = vec![0u64; num_vertices.div_ceil(64)];
+        for &v in vertices {
+            bits[v as usize >> 6] |= 1 << (v as usize & 63);
         }
+        Cow::Owned(Frontier::Dense {
+            bits,
+            count: vertices.len(),
+            num_vertices: *num_vertices,
+        })
     }
 
-    /// Materializes the sorted id list (no-op when already sparse).
-    pub fn to_sparse(&self) -> Frontier {
-        match self {
-            Frontier::Sparse { .. } => self.clone(),
-            Frontier::Dense {
-                bits, num_vertices, ..
-            } => {
-                let mut vertices = Vec::with_capacity(self.len());
-                for (w, &word) in bits.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let b = word.trailing_zeros() as usize;
-                        vertices.push((w * 64 + b) as VertexId);
-                        word &= word - 1;
-                    }
-                }
-                Frontier::Sparse {
-                    num_vertices: *num_vertices,
-                    vertices,
-                }
+    /// The sorted-id-list form: borrows `self` when already sparse (no
+    /// copy), materializes the list otherwise.
+    pub fn to_sparse(&self) -> Cow<'_, Frontier> {
+        let Frontier::Dense {
+            bits, num_vertices, ..
+        } = self
+        else {
+            return Cow::Borrowed(self);
+        };
+        let mut vertices = Vec::with_capacity(self.len());
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let b = word.trailing_zeros() as usize;
+                vertices.push((w * 64 + b) as VertexId);
+                word &= word - 1;
             }
         }
+        Cow::Owned(Frontier::Sparse {
+            num_vertices: *num_vertices,
+            vertices,
+        })
     }
 
     /// Iterates active vertices in ascending id order.
@@ -290,6 +291,17 @@ mod tests {
         let s = d.to_sparse();
         let ids: Vec<VertexId> = s.iter_active().collect();
         assert_eq!(ids, vec![5, 63, 64, 128, 199]);
+    }
+
+    /// Converting to the representation a frontier already has borrows it.
+    #[test]
+    fn conversion_to_own_representation_borrows() {
+        let s = Frontier::from_vertices(200, vec![5, 64]);
+        assert!(matches!(s.to_sparse(), Cow::Borrowed(_)));
+        assert!(matches!(s.to_dense(), Cow::Owned(_)));
+        let d = Frontier::all(200);
+        assert!(matches!(d.to_dense(), Cow::Borrowed(_)));
+        assert!(matches!(d.to_sparse(), Cow::Owned(_)));
     }
 
     #[test]

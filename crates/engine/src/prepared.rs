@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vebo_graph::{DeltaOverlay, Graph, PinnedEpoch};
 use vebo_partition::partitioned::PartitionedSubCsr;
-use vebo_partition::{BoundsError, PartitionBounds, PartitionedCoo};
+use vebo_partition::{BoundsError, EdgeOrder, PartitionBounds, PartitionedCoo};
 
 /// The expensive, immutable part of a [`PreparedGraph`]: the snapshot
 /// and every profile-specific layout derived from it. Shared by `Arc` so
@@ -38,7 +38,8 @@ struct PreparedCore {
     tasks: PartitionBounds,
     /// Per-task COO chunks (GraphGrind dense layout).
     coo: Option<PartitionedCoo>,
-    /// Per-task sub-CSRs (Polymer/GraphGrind sparse layout).
+    /// Per-task sub-CSRs (Polymer/GraphGrind sparse layout); shares the
+    /// destination and weight arrays of a CSR-order `coo`.
     sub_csr: Option<PartitionedSubCsr>,
     /// Time spent building the partitioned layouts (Table VI).
     prep_time: Duration,
@@ -219,7 +220,11 @@ impl PreparedGraph {
 
     /// Materializes the layouts for already-validated `tasks`; `t0` is
     /// when preparation began (so `prep_time` covers the bounds
-    /// computation too, as Table VI charges it).
+    /// computation too, as Table VI charges it). One `O(n + m)` scatter
+    /// builds the partition-major edge store; a CSR-order COO and the
+    /// sub-CSRs are both views of it, so a profile that wants both pays
+    /// for one store plus the sub-CSR's source index, and a profile that
+    /// wants only sub-CSRs keeps no `src` stream.
     fn from_parts(
         graph: Graph,
         profile: SystemProfile,
@@ -230,11 +235,10 @@ impl PreparedGraph {
             DenseLayout::Coo(order) => Some(PartitionedCoo::build(&graph, &tasks, order)),
             DenseLayout::CscPull => None,
         };
-        let sub_csr = if profile.partitioned_sparse {
-            Some(PartitionedSubCsr::build(&graph, &tasks))
-        } else {
-            None
-        };
+        let sub_csr = profile.partitioned_sparse.then(|| match &coo {
+            Some(coo) if coo.order() == EdgeOrder::Csr => PartitionedSubCsr::over(coo),
+            _ => PartitionedSubCsr::build(&graph, &tasks),
+        });
         let prep_time = t0.elapsed();
         PreparedGraph {
             core: Arc::new(PreparedCore {
@@ -348,7 +352,9 @@ impl PreparedGraph {
         self.core.sub_csr.as_ref()
     }
 
-    /// Layout construction time (the partitioning column of Table VI).
+    /// Layout construction time (the partitioning column of Table VI):
+    /// bounds, the one partition-major scatter, the sub-CSR source index,
+    /// and — for [`EdgeOrder::Hilbert`] only — the per-partition key sort.
     pub fn prep_time(&self) -> Duration {
         self.core.prep_time
     }
@@ -388,7 +394,6 @@ pub fn subdivide_for_threads(
 mod tests {
     use super::*;
     use vebo_graph::Dataset;
-    use vebo_partition::EdgeOrder;
 
     #[test]
     fn ligra_prepares_vertex_chunks_without_layouts() {

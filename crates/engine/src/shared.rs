@@ -6,7 +6,19 @@
 //! Cilk-based frameworks in the paper get from their runtime. On x86-64,
 //! relaxed atomic loads/stores compile to plain moves, so the pull-mode
 //! fast path pays nothing for this.
+//!
+//! The one atomic that is *not* free on x86-64 is the locked
+//! read-modify-write behind [`AtomicBitset::set`]. Kernels whose task owns
+//! a contiguous destination range (dense COO, dense pull, dense
+//! `vertex_map`) therefore build their slice of the next frontier through
+//! [`AtomicBitset::range_writer`]: bits go into task-local plain words and
+//! reach the shared bitset as one `fetch_or` per non-zero word. That flush
+//! stays atomic because task ranges need not be 64-aligned, so the first
+//! and last word of a range are shared with the neighbouring tasks.
+//! Kernels whose destinations are arbitrary (sparse push, sparse
+//! partitioned, sparse `vertex_map`) keep the per-bit `set`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An `f64` stored in an `AtomicU64` via bit transmutation.
@@ -115,6 +127,23 @@ impl AtomicBitset {
         prev & mask == 0
     }
 
+    /// A writer for the bits of `range` that costs no locked instruction
+    /// per bit: see [`RangeWriter`].
+    pub fn range_writer(&self, range: Range<usize>) -> RangeWriter<'_> {
+        debug_assert!(range.end <= self.len);
+        let first_word = range.start >> 6;
+        let words = if range.is_empty() {
+            0
+        } else {
+            ((range.end - 1) >> 6) + 1 - first_word
+        };
+        RangeWriter {
+            target: self,
+            first_word,
+            words: vec![0; words],
+        }
+    }
+
     /// Reads bit `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -133,6 +162,37 @@ impl AtomicBitset {
     /// Extracts the plain word array (consumes the atomic wrapper).
     pub fn into_words(self) -> Vec<u64> {
         self.words.into_iter().map(|w| w.into_inner()).collect()
+    }
+}
+
+/// Task-local plain words covering one contiguous bit range of an
+/// [`AtomicBitset`]; dropping the writer ORs every non-zero word into the
+/// bitset with a single `fetch_or` each (atomic, because the range's
+/// boundary words may be shared with writers of the adjacent ranges).
+#[derive(Debug)]
+pub struct RangeWriter<'a> {
+    target: &'a AtomicBitset,
+    first_word: usize,
+    words: Vec<u64>,
+}
+
+impl RangeWriter<'_> {
+    /// Sets bit `i` of the range. Panics when `i` falls outside the words
+    /// that cover the range.
+    #[inline]
+    pub fn set(&mut self, i: usize) {
+        self.words[(i >> 6) - self.first_word] |= 1u64 << (i & 63);
+    }
+}
+
+impl Drop for RangeWriter<'_> {
+    fn drop(&mut self) {
+        let shared = &self.target.words[self.first_word..];
+        for (word, &bits) in shared.iter().zip(&self.words) {
+            if bits != 0 {
+                word.fetch_or(bits, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -215,6 +275,35 @@ mod tests {
             1,
             "exactly one thread wins the set"
         );
+    }
+
+    /// Unaligned neighbouring ranges share boundary words; every bit set
+    /// through either writer lands, and only those.
+    #[test]
+    fn range_writers_share_boundary_words() {
+        let b = AtomicBitset::new(200);
+        let bounds = [0usize, 1, 63, 64, 65, 130, 130, 200];
+        std::thread::scope(|s| {
+            for w in bounds.windows(2) {
+                let b = &b;
+                s.spawn(move || {
+                    let mut out = b.range_writer(w[0]..w[1]);
+                    for i in (w[0]..w[1]).filter(|i| i % 3 != 1) {
+                        out.set(i);
+                    }
+                });
+            }
+        });
+        for i in 0..200 {
+            assert_eq!(b.get(i), i % 3 != 1, "bit {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn range_writer_rejects_bits_outside_its_words() {
+        let b = AtomicBitset::new(256);
+        b.range_writer(64..128).set(200);
     }
 
     #[test]

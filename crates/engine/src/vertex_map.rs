@@ -60,11 +60,14 @@ where
             let bounds = pg.tasks();
             run(bounds.num_partitions(), policy, |t| {
                 let mut scanned = 0u64;
+                // The task owns its range: collect in plain words, flush
+                // once per word (see `AtomicBitset::range_writer`).
+                let mut out = next.range_writer(bounds.range(t));
                 for v in bounds.range(t) {
                     if words[v >> 6] >> (v & 63) & 1 == 1 {
                         scanned += 1;
                         if f(v as VertexId) {
-                            next.set(v);
+                            out.set(v);
                         }
                     }
                 }
@@ -86,8 +89,9 @@ where
         }
     };
     let out = Frontier::from_bitset(next);
-    let out = if out.len() * 20 < n {
-        out.to_sparse()
+    // Same representation switch, on the same threshold, as `edge_map`.
+    let out = if out.len() * policy.threshold_den < n {
+        out.to_sparse().into_owned()
     } else {
         out
     };
@@ -147,7 +151,9 @@ mod tests {
         let g = Dataset::YahooLike.build(0.05);
         let n = g.num_vertices();
         let pg = PreparedGraph::new(g, SystemProfile::ligra_like());
-        let f = Frontier::from_vertices(n, vec![2, 4, 6]).to_dense();
+        let f = Frontier::from_vertices(n, vec![2, 4, 6])
+            .to_dense()
+            .into_owned();
         let (out, _) = Executor::new(SystemProfile::ligra_like()).vertex_map(&pg, &f, |_| true);
         let got: Vec<_> = out.iter_active().collect();
         assert_eq!(got, vec![2, 4, 6]);

@@ -204,7 +204,8 @@ proptest! {
             ids.push((x % n as u64) as VertexId);
         }
         let f = Frontier::from_vertices(n, ids);
-        let rt = f.to_dense().to_sparse().to_dense().to_sparse();
+        let rt = f.to_dense().to_sparse().into_owned();
+        let rt = rt.to_dense().to_sparse().into_owned();
         let a: Vec<VertexId> = f.iter_active().collect();
         let b: Vec<VertexId> = rt.iter_active().collect();
         prop_assert_eq!(a, b);

@@ -558,9 +558,10 @@ fn sort_lists(offsets: &[usize], targets: &mut [VertexId], weights: Option<&mut 
             }
         }
         Some(w) => {
+            let mut scratch = Vec::new();
             for v in 0..n {
                 let range = offsets[v]..offsets[v + 1];
-                sort_weighted_list(&mut targets[range.clone()], &mut w[range]);
+                sort_weighted_list(&mut targets[range.clone()], &mut w[range], &mut scratch);
             }
         }
     }
@@ -589,12 +590,13 @@ fn sort_lists_parallel(offsets: &[usize], targets: &mut [VertexId], weights: Opt
             let wshared = SharedSlice::new(w);
             let ranges = &ranges;
             (0..ranges.len()).into_par_iter().for_each(|ri| {
+                let mut scratch = Vec::new();
                 for v in ranges[ri].clone() {
                     // SAFETY: as above; targets and weights share the
                     // same disjoint edge ranges.
                     let list = unsafe { tshared.slice_mut(offsets[v], offsets[v + 1]) };
                     let wts = unsafe { wshared.slice_mut(offsets[v], offsets[v + 1]) };
-                    sort_weighted_list(list, wts);
+                    sort_weighted_list(list, wts, &mut scratch);
                 }
             });
         }
@@ -602,14 +604,22 @@ fn sort_lists_parallel(offsets: &[usize], targets: &mut [VertexId], weights: Opt
 }
 
 /// Sorts a neighbor list ascending, keeping its weight slice parallel.
-pub(crate) fn sort_weighted_list(targets: &mut [VertexId], weights: &mut [f32]) {
-    let mut zip: Vec<(VertexId, f32)> = targets
-        .iter()
-        .copied()
-        .zip(weights.iter().copied())
-        .collect();
-    zip.sort_unstable_by_key(|&(t, _)| t);
-    for (k, (t, wt)) in zip.into_iter().enumerate() {
+/// Lists already ascending (every list of length <= 1 among them) are
+/// left untouched, exactly as the sort would leave them; the rest are
+/// zipped into `scratch`, which callers reuse across a whole vertex range
+/// instead of allocating per vertex.
+pub(crate) fn sort_weighted_list(
+    targets: &mut [VertexId],
+    weights: &mut [f32],
+    scratch: &mut Vec<(VertexId, f32)>,
+) {
+    if targets.windows(2).all(|w| w[0] <= w[1]) {
+        return;
+    }
+    scratch.clear();
+    scratch.extend(targets.iter().copied().zip(weights.iter().copied()));
+    scratch.sort_unstable_by_key(|&(t, _)| t);
+    for (k, &(t, wt)) in scratch.iter().enumerate() {
         targets[k] = t;
         weights[k] = wt;
     }

@@ -165,7 +165,11 @@ impl Permutation {
         // Gather + relabel + sort each new neighbor list.
         let mut targets = vec![0 as VertexId; m];
         let mut weights = csr.raw_weights().map(|_| vec![0f32; m]);
-        let relabel_list = |k: usize, list: &mut [VertexId], wts: Option<&mut [f32]>| {
+        // `scratch` is the weighted sort's zip buffer, one per vertex range.
+        let relabel_list = |k: usize,
+                            list: &mut [VertexId],
+                            wts: Option<&mut [f32]>,
+                            scratch: &mut Vec<(VertexId, f32)>| {
             let u = old_of[k];
             for (j, &v) in csr.neighbors(u).iter().enumerate() {
                 list[j] = self.new_id(v);
@@ -173,7 +177,7 @@ impl Permutation {
             match wts {
                 Some(wts) => {
                     wts.copy_from_slice(csr.weights_of(u));
-                    crate::adjacency::sort_weighted_list(list, wts);
+                    crate::adjacency::sort_weighted_list(list, wts, scratch);
                 }
                 None => list.sort_unstable(),
             }
@@ -184,6 +188,7 @@ impl Permutation {
             let wshared = weights.as_mut().map(|w| SharedSlice::new(w.as_mut_slice()));
             let (ranges, offsets) = (&ranges, &offsets);
             (0..ranges.len()).into_par_iter().for_each(|ri| {
+                let mut scratch = Vec::new();
                 for k in ranges[ri].clone() {
                     // SAFETY: new-id ranges are disjoint, so the edge
                     // ranges [offsets[k], offsets[k+1]) are too.
@@ -191,17 +196,18 @@ impl Permutation {
                     let wts = wshared
                         .as_ref()
                         .map(|ws| unsafe { ws.slice_mut(offsets[k], offsets[k + 1]) });
-                    relabel_list(k, list, wts);
+                    relabel_list(k, list, wts, &mut scratch);
                 }
             });
         } else {
+            let mut scratch = Vec::new();
             for k in 0..n {
                 let range = offsets[k]..offsets[k + 1];
                 let (list, wts) = match weights.as_mut() {
                     Some(w) => (&mut targets[range.clone()], Some(&mut w[range])),
                     None => (&mut targets[range], None),
                 };
-                relabel_list(k, list, wts);
+                relabel_list(k, list, wts, &mut scratch);
             }
         }
 

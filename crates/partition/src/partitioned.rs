@@ -11,88 +11,91 @@
 //!   used by sparse traversal, where each partition scans the out-edges of
 //!   the active vertices that fall inside it. The per-partition work is
 //!   then exactly the "active edges per partition" of Table IV.
+//!
+//! Both are views of one partition-major edge store built in `O(n + m)`
+//! with no comparison sort: one walk of the CSR appends every edge to its
+//! destination partition's stream. Sources arrive ascending and each
+//! neighbor list is ascending, so every stream lands in `(src, dst)`
+//! order — which *is* [`EdgeOrder::Csr`] — with parallel edges in CSR
+//! order. The sub-CSR is an index over that store (the runs of each `src`
+//! stream) and shares its `dst`/weight arrays (`Arc`s, so neither view
+//! keeps the other's private arrays alive); only [`EdgeOrder::Hilbert`]
+//! sorts, by curve key, over its own copy.
 
 use crate::by_destination::PartitionBounds;
 use crate::edge_order::EdgeOrder;
 use crate::hilbert::{order_for, xy_to_d};
+use std::sync::Arc;
 use vebo_graph::{Graph, VertexId};
 
-/// Per-partition COO edge streams (struct-of-arrays, flat storage).
+/// Per-partition COO edge streams (struct-of-arrays, flat storage). In
+/// [`EdgeOrder::Csr`] this is the partition-major store itself.
 #[derive(Clone, Debug)]
 pub struct PartitionedCoo {
     edge_starts: Vec<usize>,
     src: Vec<VertexId>,
-    dst: Vec<VertexId>,
-    weights: Option<Vec<f32>>,
+    dst: Arc<Vec<VertexId>>,
+    weights: Option<Arc<Vec<f32>>>,
     order: EdgeOrder,
 }
 
 impl PartitionedCoo {
-    /// Collects each partition's in-edges and sorts them in the requested
-    /// order. `O(m log m)` dominated by the per-partition sorts.
+    /// Scatters every edge to its destination partition in one `O(n + m)`
+    /// walk of the CSR, which leaves each partition in [`EdgeOrder::Csr`]
+    /// (module docs); [`EdgeOrder::Hilbert`] then key-sorts each
+    /// partition — the only `O(m log m)` step, paid by that order alone.
     pub fn build(g: &Graph, bounds: &PartitionBounds, order: EdgeOrder) -> PartitionedCoo {
         assert_eq!(bounds.num_vertices(), g.num_vertices());
-        let p = bounds.num_partitions();
-        let m = g.num_edges();
-        let has_weights = g.has_weights();
-        let mut edge_starts = Vec::with_capacity(p + 1);
-        let mut src = Vec::with_capacity(m);
-        let mut dst = Vec::with_capacity(m);
-        let mut weights = if has_weights {
-            Some(Vec::with_capacity(m))
-        } else {
-            None
-        };
-        let bits = order_for(g.num_vertices());
-
-        for (_, range) in bounds.iter() {
-            edge_starts.push(src.len());
-            let part_start = src.len();
-            for v in range {
-                let v = v as VertexId;
-                let srcs = g.in_neighbors(v);
-                src.extend_from_slice(srcs);
-                dst.extend(std::iter::repeat_n(v, srcs.len()));
-                if let Some(w) = weights.as_mut() {
-                    w.extend_from_slice(g.csc().weights_of(v));
+        let (csr, m) = (g.csr(), g.num_edges());
+        // A partition's in-edges are contiguous in the CSC, so its slots
+        // in the store are the CSC offsets at its bounds.
+        let csc_offsets = g.csc().offsets();
+        let edge_starts: Vec<usize> = bounds.starts().iter().map(|&v| csc_offsets[v]).collect();
+        let mut part_of = vec![0u32; g.num_vertices()];
+        for (p, range) in bounds.iter() {
+            part_of[range].fill(p as u32);
+        }
+        let mut cursor = edge_starts.clone();
+        let (mut src, mut dst) = (vec![0 as VertexId; m], vec![0 as VertexId; m]);
+        let mut weights = csr.raw_weights().map(|ws| (ws, vec![0f32; m]));
+        let (offsets, targets) = (csr.offsets(), csr.targets());
+        for u in 0..g.num_vertices() {
+            for (e, &v) in (offsets[u]..).zip(&targets[offsets[u]..offsets[u + 1]]) {
+                let slot = &mut cursor[part_of[v as usize] as usize];
+                src[*slot] = u as VertexId;
+                dst[*slot] = v;
+                if let Some((ws, out)) = weights.as_mut() {
+                    out[*slot] = ws[e];
                 }
-            }
-            // Order within the partition. The CSC walk above yields
-            // (dst, src)-sorted edges; re-sort per requested order.
-            let len = src.len() - part_start;
-            let mut perm: Vec<u32> = (0..len as u32).collect();
-            match order {
-                EdgeOrder::Csr => {
-                    perm.sort_unstable_by_key(|&e| {
-                        let e = part_start + e as usize;
-                        (src[e], dst[e])
-                    });
-                }
-                EdgeOrder::Hilbert => {
-                    let keys: Vec<u64> = (0..len)
-                        .map(|e| {
-                            let e = part_start + e;
-                            xy_to_d(bits, src[e] as u64, dst[e] as u64)
-                        })
-                        .collect();
-                    perm.sort_unstable_by_key(|&e| keys[e as usize]);
-                }
-            }
-            apply_perm(&mut src[part_start..], &perm);
-            apply_perm(&mut dst[part_start..], &perm);
-            if let Some(w) = weights.as_mut() {
-                apply_perm(&mut w[part_start..], &perm);
+                *slot += 1;
             }
         }
-        edge_starts.push(src.len());
-        debug_assert_eq!(src.len(), m);
-        PartitionedCoo {
+        let mut coo = PartitionedCoo {
             edge_starts,
             src,
-            dst,
-            weights,
+            dst: Arc::new(dst),
+            weights: weights.map(|(_, out)| Arc::new(out)),
             order,
+        };
+        if order == EdgeOrder::Hilbert {
+            coo.sort_by_hilbert_key(order_for(g.num_vertices()));
         }
+        coo
+    }
+
+    /// Re-sorts each partition by the Hilbert index of `(src, dst)`; ties
+    /// (parallel edges) break on store position, so they keep CSR order.
+    fn sort_by_hilbert_key(&mut self, bits: u32) {
+        let (src, dst) = (&self.src, &self.dst);
+        let mut keyed: Vec<(u64, usize)> = (0..src.len())
+            .map(|e| (xy_to_d(bits, src[e] as u64, dst[e] as u64), e))
+            .collect();
+        for p in 0..self.num_partitions() {
+            keyed[self.edge_starts[p]..self.edge_starts[p + 1]].sort_unstable();
+        }
+        self.src = gather(&self.src, &keyed);
+        self.dst = Arc::new(gather(&self.dst, &keyed));
+        self.weights = (self.weights.as_deref()).map(|w| Arc::new(gather(w, &keyed)));
     }
 
     /// Number of partitions.
@@ -136,131 +139,127 @@ impl PartitionedCoo {
     }
 }
 
-fn apply_perm<T: Copy>(data: &mut [T], perm: &[u32]) {
-    let snapshot: Vec<T> = data.to_vec();
-    for (k, &e) in perm.iter().enumerate() {
-        data[k] = snapshot[e as usize];
-    }
+/// `data` re-read in `keyed`'s position order (Hilbert order only).
+fn gather<T: Copy>(data: &[T], keyed: &[(u64, usize)]) -> Vec<T> {
+    keyed.iter().map(|&(_, e)| data[e]).collect()
 }
 
-/// A compact CSR over the *sources* that have at least one edge into one
-/// partition.
-#[derive(Clone, Debug)]
-pub struct SubCsr {
-    sources: Vec<VertexId>,
-    offsets: Vec<usize>,
-    dsts: Vec<VertexId>,
-    weights: Option<Vec<f32>>,
+/// One partition of a [`PartitionedSubCsr`]: a compact CSR over the
+/// *sources* that have at least one edge into the partition, borrowed
+/// from the shared store.
+#[derive(Clone, Copy, Debug)]
+pub struct SubCsr<'a> {
+    sources: &'a [VertexId],
+    /// Source `i`'s edges are `run_starts[i]..run_starts[i + 1]` of the
+    /// store (one more entry than `sources`).
+    run_starts: &'a [usize],
+    dst: &'a [VertexId],
+    weights: Option<&'a [f32]>,
 }
 
-impl SubCsr {
+impl<'a> SubCsr<'a> {
     /// Sources present in this partition (sorted ascending).
-    pub fn sources(&self) -> &[VertexId] {
-        &self.sources
+    pub fn sources(&self) -> &'a [VertexId] {
+        self.sources
     }
 
     /// Total edges in this partition.
     pub fn num_edges(&self) -> usize {
-        self.dsts.len()
+        self.run_starts[self.sources.len()] - self.run_starts[0]
     }
 
     /// Destinations of `u`'s edges into this partition, or `None` if `u`
     /// has none. `O(log |sources|)`.
-    pub fn edges_of(&self, u: VertexId) -> Option<&[VertexId]> {
+    pub fn edges_of(&self, u: VertexId) -> Option<&'a [VertexId]> {
         let i = self.sources.binary_search(&u).ok()?;
-        Some(&self.dsts[self.offsets[i]..self.offsets[i + 1]])
+        Some(&self.dst[self.run_starts[i]..self.run_starts[i + 1]])
     }
 
     /// Destinations and weights of `u`'s edges into this partition.
-    pub fn weighted_edges_of(&self, u: VertexId) -> Option<(&[VertexId], &[f32])> {
+    pub fn weighted_edges_of(&self, u: VertexId) -> Option<(&'a [VertexId], &'a [f32])> {
         let i = self.sources.binary_search(&u).ok()?;
-        let r = self.offsets[i]..self.offsets[i + 1];
-        let w = self.weights.as_ref().expect("graph has no weights");
-        Some((&self.dsts[r.clone()], &w[r]))
+        let r = self.run_starts[i]..self.run_starts[i + 1];
+        let w = self.weights.expect("graph has no weights");
+        Some((&self.dst[r.clone()], &w[r]))
     }
 
     /// Iterates `(source, destinations)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
-        self.sources
-            .iter()
-            .enumerate()
-            .map(move |(i, &u)| (u, &self.dsts[self.offsets[i]..self.offsets[i + 1]]))
+    pub fn iter(self) -> impl Iterator<Item = (VertexId, &'a [VertexId])> {
+        let runs = self.run_starts.windows(2);
+        (self.sources.iter().zip(runs)).map(move |(&u, r)| (u, &self.dst[r[0]..r[1]]))
     }
 }
 
-/// All partitions' sub-CSRs.
+/// All partitions' sub-CSRs: a source index over a CSR-order
+/// [`PartitionedCoo`], whose `dst`/weight arrays it shares.
 #[derive(Clone, Debug)]
 pub struct PartitionedSubCsr {
-    parts: Vec<SubCsr>,
+    dst: Arc<Vec<VertexId>>,
+    weights: Option<Arc<Vec<f32>>>,
+    /// Partition `p` owns `sources[source_starts[p]..source_starts[p + 1]]`.
+    source_starts: Vec<usize>,
+    sources: Vec<VertexId>,
+    /// Store position where each source's run begins, plus an end sentinel.
+    run_starts: Vec<usize>,
 }
 
 impl PartitionedSubCsr {
-    /// Builds one sub-CSR per partition from the destination-partitioned
-    /// edge set. `O(m log m)` total.
+    /// Builds the store and indexes it. `O(n + m)` total.
     pub fn build(g: &Graph, bounds: &PartitionBounds) -> PartitionedSubCsr {
-        assert_eq!(bounds.num_vertices(), g.num_vertices());
-        let has_weights = g.has_weights();
-        let mut parts = Vec::with_capacity(bounds.num_partitions());
-        for (_, range) in bounds.iter() {
-            // Gather (src, dst[, w]) for this partition, sort by (src, dst).
-            let cap: usize = range.clone().map(|v| g.in_degree(v as VertexId)).sum();
-            let mut tuples: Vec<(VertexId, VertexId, f32)> = Vec::with_capacity(cap);
-            for v in range {
-                let v = v as VertexId;
-                let srcs = g.in_neighbors(v);
-                if has_weights {
-                    for (k, &u) in srcs.iter().enumerate() {
-                        tuples.push((u, v, g.csc().weights_of(v)[k]));
-                    }
-                } else {
-                    for &u in srcs {
-                        tuples.push((u, v, 0.0));
-                    }
+        PartitionedSubCsr::over(&PartitionedCoo::build(g, bounds, EdgeOrder::Csr))
+    }
+
+    /// Indexes an existing CSR-order store, sharing its `dst`/weight
+    /// arrays: each partition's `src` stream is ascending, so its distinct
+    /// sources and their runs fall out of one linear scan (after which
+    /// `store` itself may be dropped). Panics on any other order.
+    pub fn over(store: &PartitionedCoo) -> PartitionedSubCsr {
+        assert!(store.order == EdgeOrder::Csr, "not a CSR-order store");
+        let src = &store.src;
+        let mut source_starts = Vec::with_capacity(store.edge_starts.len());
+        // One run per change of source, at most one more per partition.
+        let cap = src.windows(2).filter(|w| w[0] != w[1]).count() + store.edge_starts.len();
+        let (mut sources, mut run_starts) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        for p in 0..store.num_partitions() {
+            source_starts.push(sources.len());
+            let start = store.edge_starts[p];
+            for e in start..store.edge_starts[p + 1] {
+                if e == start || src[e] != src[e - 1] {
+                    sources.push(src[e]);
+                    run_starts.push(e);
                 }
             }
-            tuples.sort_unstable_by_key(|&(u, v, _)| (u, v));
-            let mut sources = Vec::new();
-            let mut offsets = vec![0usize];
-            let mut dsts = Vec::with_capacity(tuples.len());
-            let mut weights = if has_weights {
-                Some(Vec::with_capacity(tuples.len()))
-            } else {
-                None
-            };
-            for (u, v, w) in tuples {
-                if sources.last() != Some(&u) {
-                    sources.push(u);
-                    offsets.push(dsts.len());
-                }
-                dsts.push(v);
-                if let Some(ws) = weights.as_mut() {
-                    ws.push(w);
-                }
-                *offsets.last_mut().unwrap() = dsts.len();
-            }
-            parts.push(SubCsr {
-                sources,
-                offsets,
-                dsts,
-                weights,
-            });
         }
-        PartitionedSubCsr { parts }
+        source_starts.push(sources.len());
+        run_starts.push(src.len());
+        PartitionedSubCsr {
+            dst: store.dst.clone(),
+            weights: store.weights.clone(),
+            source_starts,
+            sources,
+            run_starts,
+        }
     }
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.parts.len()
+        self.source_starts.len() - 1
     }
 
     /// The sub-CSR of partition `p`.
-    pub fn partition(&self, p: usize) -> &SubCsr {
-        &self.parts[p]
+    pub fn partition(&self, p: usize) -> SubCsr<'_> {
+        let (lo, hi) = (self.source_starts[p], self.source_starts[p + 1]);
+        SubCsr {
+            sources: &self.sources[lo..hi],
+            run_starts: &self.run_starts[lo..=hi],
+            dst: &self.dst,
+            weights: self.weights.as_ref().map(|w| &w[..]),
+        }
     }
 
     /// Total edges across partitions (must equal the graph's edge count).
     pub fn num_edges(&self) -> usize {
-        self.parts.iter().map(|s| s.num_edges()).sum()
+        self.dst.len()
     }
 }
 
@@ -392,8 +391,8 @@ mod tests {
         for p in 0..sub.num_partitions() {
             let s = sub.partition(p);
             assert!(s.sources().windows(2).all(|w| w[0] < w[1]));
-            for (i, _) in s.sources().iter().enumerate() {
-                assert!(s.offsets[i + 1] > s.offsets[i], "empty source entry");
+            for (_, dsts) in s.iter() {
+                assert!(!dsts.is_empty(), "empty source entry");
             }
         }
     }
