@@ -8,7 +8,8 @@
 //! directed edge; the vertex-level form has exactly the same traversal
 //! and load-distribution structure (read source state, accumulate into
 //! destination per edge), which is what the paper's evaluation exercises.
-//! Documented as a substitution in DESIGN.md.
+//! The substitution changes the beliefs computed, not the per-edge work or
+//! its distribution across partitions.
 
 use crate::common::RunReport;
 use vebo_engine::shared::{atomic_f64_vec, snapshot_f64, AtomicF64};

@@ -120,6 +120,19 @@ proptest! {
                 g.clone()
             };
             let pg = PreparedGraph::builder(g).profile(profile).build().unwrap();
+            if kind == AlgorithmKind::Cc {
+                // CC propagates labels in place: a label lowered earlier in
+                // a round is read later in the same round, so the round and
+                // edge counts depend on the task schedule. The fixpoint the
+                // propagation converges to does not.
+                let labels = |mode: ExecMode| cc(&Executor::new(profile).with_mode(mode), &pg).0;
+                prop_assert_eq!(
+                    labels(ExecMode::Sequential),
+                    labels(ExecMode::Parallel),
+                    "CC labels on {:?}", profile.kind
+                );
+                continue;
+            }
             let digest = |mode: ExecMode| {
                 let exec = Executor::new(profile).with_mode(mode);
                 let report = run_algorithm(kind, &exec, &pg);
@@ -128,7 +141,7 @@ proptest! {
             // Per-algorithm result equality is covered by the *_matches_*
             // properties (profiles agree) plus the engine's mode-equivalence
             // property; here we assert the run *shape* is mode-invariant
-            // for all 8 algorithms end to end.
+            // for the other 7 algorithms end to end.
             prop_assert_eq!(
                 digest(ExecMode::Sequential),
                 digest(ExecMode::Parallel),

@@ -20,8 +20,6 @@
 //!   tasks (default sequential: the measured mode; per-task timings under
 //!   the concurrent backends are noisy);
 //! * `--shards <n>` — shard count for `--executor sharded` (default 4);
-//! * `--parallel` — shorthand for `--executor rayon` (kept from before
-//!   the sharded backend existed);
 //! * `--help` — usage.
 
 use std::path::PathBuf;
@@ -49,7 +47,7 @@ pub struct HarnessArgs {
     pub partitions: Option<usize>,
     /// `--threads`: simulated machine threads.
     pub threads: usize,
-    /// `--executor` / `--parallel`: which engine backend runs tasks.
+    /// `--executor`: which engine backend runs tasks.
     pub exec_mode: ExecMode,
     /// `--extended`: include the extension orderings/strategies
     /// (SlashBurn, METIS-like) where the binary supports them.
@@ -132,12 +130,11 @@ impl HarnessArgs {
                 }
                 "--mmap" => out.mmap = true,
                 "--compress" => out.compress = true,
-                "--parallel" => out.exec_mode = ExecMode::Parallel,
                 "--executor" => {
                     let v = it.next().unwrap_or_else(|| usage_exit(binary, description));
                     out.exec_mode = match v.as_str() {
                         "sequential" | "seq" => ExecMode::Sequential,
-                        "rayon" | "parallel" => ExecMode::Parallel,
+                        "rayon" => ExecMode::Parallel,
                         "sharded" => match out.exec_mode {
                             // Keep a shard count a preceding --shards set.
                             ExecMode::Sharded { shards } => ExecMode::Sharded { shards },
@@ -229,10 +226,9 @@ impl HarnessArgs {
     }
 
     /// The [`Executor`] every harness runs algorithms through: built for
-    /// `profile`, honoring `--executor`/`--shards`/`--parallel`. One
-    /// construction path for every binary, so execution policy never
-    /// drifts between tables. Selecting the sharded backend spawns its
-    /// long-lived workers here.
+    /// `profile`, honoring `--executor`/`--shards`. One construction path
+    /// for every binary, so execution policy never drifts between tables.
+    /// Selecting the sharded backend spawns its long-lived workers here.
     pub fn executor(&self, profile: SystemProfile) -> Executor {
         Executor::new(profile).with_mode(self.exec_mode)
     }
@@ -248,7 +244,7 @@ impl HarnessArgs {
 
 fn usage(binary: &str, description: &str) -> String {
     format!(
-        "{binary} — {description}\n\nOptions:\n  --scale <f>      dataset scale factor (default 1.0)\n  --quick          same as --scale 0.1\n  --dataset <name> one of {:?}\n  --cache <dir>    cache datasets as binary .vgr files in <dir>\n  --mmap           reload .vgr cache snapshots via zero-copy mmap\n  --compress       run kernels over delta-varint compressed neighbor lists\n  --partitions <n> partition count override\n  --threads <n>    simulated threads (default 48)\n  --executor <b>   engine backend: sequential | rayon | sharded\n  --shards <n>     shard count (implies --executor sharded; default 4)\n  --parallel       shorthand for --executor rayon\n  --extended       include extension orderings where supported\n  --help           this text",
+        "{binary} — {description}\n\nOptions:\n  --scale <f>      dataset scale factor (default 1.0)\n  --quick          same as --scale 0.1\n  --dataset <name> one of {:?}\n  --cache <dir>    cache datasets as binary .vgr files in <dir>\n  --mmap           reload .vgr cache snapshots via zero-copy mmap\n  --compress       run kernels over delta-varint compressed neighbor lists\n  --partitions <n> partition count override\n  --threads <n>    simulated threads (default 48)\n  --executor <b>   engine backend: sequential | rayon | sharded\n  --shards <n>     shard count (implies --executor sharded; default 4)\n  --extended       include extension orderings where supported\n  --help           this text",
         Dataset::ALL.map(|d| d.name())
     )
 }
@@ -298,10 +294,6 @@ mod tests {
         use vebo_engine::ExecMode;
         let profile = vebo_engine::SystemProfile::ligra_like();
         assert_eq!(parse(&[]).executor(profile).mode(), ExecMode::Sequential);
-        assert_eq!(
-            parse(&["--parallel"]).executor(profile).mode(),
-            ExecMode::Parallel
-        );
         assert_eq!(
             parse(&["--executor", "rayon"]).executor(profile).mode(),
             ExecMode::Parallel

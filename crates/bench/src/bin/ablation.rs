@@ -1,6 +1,7 @@
-//! Ablation studies for the design choices DESIGN.md §6 calls out, plus
-//! the paper's §VII future-work question (replication cost of VEBO for
-//! distributed systems):
+//! Ablation studies for the implementation choices the paper leaves open
+//! (Algorithm 2 variant, argmin structure, partition count, direction
+//! threshold, CC propagation mode), plus the paper's §VII future-work
+//! question (replication cost of VEBO for distributed systems):
 //!
 //! 1. strict Algorithm 2 vs the locality-preserving blocked variant;
 //! 2. heap vs linear-scan argmin (the `O(n log P)` claim);
@@ -24,7 +25,7 @@ use vebo_partition::{EdgeOrder, PartitionBounds};
 fn main() {
     let args = HarnessArgs::parse(
         "ablation",
-        "DESIGN.md §6 ablations + §VII replication study",
+        "implementation ablations + §VII replication study",
     );
     let dataset = args.dataset.unwrap_or(Dataset::TwitterLike);
     let scale = args.scale_or(0.5);

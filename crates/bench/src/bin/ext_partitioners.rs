@@ -10,9 +10,9 @@
 //! * vertex and edge imbalance (the paper's load-balance criteria),
 //! * partitioning time.
 //!
-//! The expected picture, recorded in EXPERIMENTS.md: VEBO is the only
-//! strategy with perfect vertex *and* edge balance; the cut-optimizing
-//! strategies pay an imbalance penalty (and vice versa).
+//! The expected picture: VEBO is the only strategy with perfect vertex
+//! *and* edge balance; the cut-optimizing strategies pay an imbalance
+//! penalty (and vice versa).
 //!
 //! ```text
 //! cargo run --release -p vebo-bench --bin ext_partitioners -- --quick

@@ -1,10 +1,11 @@
 //! # vebo-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! `src/bin/`) plus Criterion micro-benchmarks (`benches/`). This library
-//! holds the shared pieces: a tiny CLI parser, a column-aligned table
-//! printer, the ordering/preparation/run pipeline every experiment
-//! reuses, and the [`serve`] layer behind the `vebo-serve` request loop.
+//! `src/bin/`). Timing the stack itself is `vebo-perf`'s job (`perf/` at
+//! the repository root). This library holds the shared pieces: a tiny CLI
+//! parser, a column-aligned table printer, the ordering/preparation/run
+//! pipeline every experiment reuses, and the [`serve`] layer behind the
+//! `vebo-serve` request loop.
 
 #![warn(missing_docs)]
 

@@ -16,8 +16,8 @@ pub enum OrderingKind {
     Original,
     /// Reverse Cuthill–McKee.
     Rcm,
-    /// Gorder (hub-capped for time-boxed harness runs; the Criterion
-    /// `ordering` bench and Table VI also measure the faithful variant).
+    /// Gorder (hub-capped for time-boxed harness runs; Table VI measures
+    /// the faithful variant on graphs small enough to finish).
     Gorder,
     /// VEBO with the target system's partition count.
     Vebo,

@@ -95,7 +95,8 @@ impl MinLoadHeap {
 }
 
 /// Linear-scan `arg min` over partition loads — the `O(P)`-per-step
-/// alternative kept for the complexity ablation bench (DESIGN.md §6).
+/// alternative the `ablation` binary times against [`MinLoadHeap`] to
+/// check the `O(n log P)` claim (§III-E).
 #[derive(Clone, Debug)]
 pub struct LinearArgMin {
     loads: Vec<u64>,
