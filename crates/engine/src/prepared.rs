@@ -20,7 +20,7 @@
 //! ```
 
 use crate::profile::{DenseLayout, SystemKind, SystemProfile};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use vebo_graph::{DeltaOverlay, Graph, PinnedEpoch};
 use vebo_partition::partitioned::PartitionedSubCsr;
@@ -43,6 +43,9 @@ struct PreparedCore {
     sub_csr: Option<PartitionedSubCsr>,
     /// Time spent building the partitioned layouts (Table VI).
     prep_time: Duration,
+    /// The transposed graph's core, built on the first
+    /// [`PreparedGraph::transposed`] call and shared from then on.
+    transposed: OnceLock<Arc<PreparedCore>>,
 }
 
 /// A graph made ready for traversal under one system profile.
@@ -248,6 +251,7 @@ impl PreparedGraph {
                 coo,
                 sub_csr,
                 prep_time,
+                transposed: OnceLock::new(),
             }),
             overlay: None,
             epoch: 0,
@@ -282,6 +286,24 @@ impl PreparedGraph {
             core: self.core.clone(),
             overlay,
             epoch,
+        }
+    }
+
+    /// The transposed graph under the same profile, with this handle's
+    /// overlay (if any) transposed alongside and the same epoch. The
+    /// transposed layouts are built on the first call — exactly as
+    /// `PreparedGraph::new(self.graph().transposed(), profile)` would —
+    /// and memoised in the shared core, so later calls and every handle
+    /// over the same core ([`Clone`], [`with_overlay`](Self::with_overlay))
+    /// reuse them; only the overlay's dirty lists are copied per call.
+    pub fn transposed(&self) -> PreparedGraph {
+        let core = self.core.transposed.get_or_init(|| {
+            PreparedGraph::new(self.core.graph.transposed(), self.core.profile).core
+        });
+        PreparedGraph {
+            core: core.clone(),
+            overlay: self.overlay.as_ref().map(|ov| Arc::new(ov.transposed())),
+            epoch: self.epoch,
         }
     }
 
@@ -434,6 +456,51 @@ mod tests {
         for &s in top.starts() {
             assert!(pg.tasks().starts().contains(&s), "boundary {s} lost");
         }
+    }
+
+    #[test]
+    fn transposed_core_is_built_once_and_matches_a_fresh_build() {
+        let g = Dataset::LiveJournalLike.build(0.05);
+        for profile in [
+            SystemProfile::ligra_like(),
+            SystemProfile::polymer_like(),
+            SystemProfile::graphgrind_like(EdgeOrder::Csr),
+        ] {
+            let pg = PreparedGraph::new(g.clone(), profile);
+            assert!(pg.core.transposed.get().is_none(), "built eagerly");
+            let (a, b) = (pg.transposed(), pg.transposed());
+            let sibling = pg.with_overlay(None, 7).transposed();
+            assert!(Arc::ptr_eq(&a.core, &b.core));
+            assert!(Arc::ptr_eq(&a.core, &sibling.core));
+            assert_eq!(sibling.epoch(), 7);
+
+            let fresh = PreparedGraph::new(g.transposed(), profile);
+            let tag = profile.kind.name();
+            assert_eq!(a.tasks().starts(), fresh.tasks().starts(), "{tag}");
+            assert_eq!(
+                a.coo().map(|c| c.num_edges()),
+                fresh.coo().map(|c| c.num_edges()),
+                "{tag}"
+            );
+            assert_eq!(
+                a.sub_csr().map(|s| s.num_edges()),
+                fresh.sub_csr().map(|s| s.num_edges()),
+                "{tag}"
+            );
+            assert_eq!(a.graph().csr(), g.csc(), "{tag}");
+        }
+    }
+
+    #[test]
+    fn transposed_handle_carries_the_swapped_overlay() {
+        let dg = vebo_graph::DynamicGraph::new(Graph::from_edges(3, &[(0, 1)], true));
+        dg.insert_edge(1, 2).unwrap();
+        let pg = PreparedGraph::for_pin(&dg.pin(), SystemProfile::ligra_like());
+        let tg = pg.transposed();
+        assert_eq!(tg.epoch(), pg.epoch());
+        assert_eq!(tg.out_neighbors(2), &[1]);
+        assert_eq!(tg.out_neighbors(1), &[0]);
+        assert!(pg.with_overlay(None, 0).transposed().overlay().is_none());
     }
 
     #[test]

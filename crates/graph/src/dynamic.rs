@@ -139,6 +139,17 @@ impl DeltaOverlay {
         self.out.is_empty() && self.into.is_empty()
     }
 
+    /// The overlay of the transposed graph ([`Graph::transposed`]): the
+    /// two halves swapped, so its out-lists are this overlay's in-lists
+    /// and vice versa. Costs one copy of the dirty vertices' merged lists.
+    pub fn transposed(&self) -> DeltaOverlay {
+        DeltaOverlay {
+            out: self.into.clone(),
+            into: self.out.clone(),
+            pending: self.pending,
+        }
+    }
+
     /// Overlay-aware out-neighbor list of `v` against snapshot `g`.
     #[inline]
     pub fn out_neighbors<'a>(&'a self, g: &'a Graph, v: VertexId) -> &'a [VertexId] {
@@ -939,6 +950,29 @@ mod tests {
         let g = dg.snapshot();
         assert_eq!(g.out_neighbors(2), &[3]);
         assert_eq!(g.out_neighbors(0), &[1]);
+    }
+
+    #[test]
+    fn transposed_overlay_swaps_directions() {
+        let dg = DynamicGraph::new(small_directed());
+        dg.insert_edge(2, 3).unwrap();
+        dg.insert_edge(1, 0).unwrap();
+        dg.delete_edge(0, 2).unwrap();
+        let pin = dg.pin();
+        let (g, ov) = (pin.graph(), pin.overlay());
+        let (tg, tov) = (g.transposed(), ov.transposed());
+        assert_eq!(tov.pending(), ov.pending());
+        assert_eq!(tov.out().len(), ov.inbound().len());
+        assert_eq!(tov.inbound().len(), ov.out().len());
+        // Vertex 1 is clean in-bound and vertex 3 clean out-bound, so
+        // both fall-through paths are covered along with the dirty ones.
+        assert!(ov.inbound().merged(1).is_none());
+        assert!(ov.out().merged(3).is_none());
+        for v in g.vertices() {
+            assert_eq!(tov.out_neighbors(&tg, v), ov.in_neighbors(g, v), "out {v}");
+            assert_eq!(tov.in_neighbors(&tg, v), ov.out_neighbors(g, v), "in {v}");
+            assert_eq!(tov.out_degree(&tg, v), ov.in_neighbors(g, v).len());
+        }
     }
 
     #[test]

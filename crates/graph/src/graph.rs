@@ -232,10 +232,14 @@ impl Graph {
         self.out.compression_stats()
     }
 
-    /// The transposed graph: every arc `(u, v)` becomes `(v, u)`. Since a
-    /// [`Graph`] stores both directions, this is a cheap swap of the two
-    /// adjacency halves. Used by algorithms with a backward dependency
-    /// pass (betweenness centrality).
+    /// The transposed graph: every arc `(u, v)` becomes `(v, u)`. A
+    /// [`Graph`] stores both directions, so this swaps the two adjacency
+    /// halves — but for owned storage the swap copies both of them
+    /// (targets, weights and any compressed companion), which is
+    /// `O(n + m)`. Hot-path callers that traverse the transpose
+    /// repeatedly (betweenness centrality's backward sweep) should use
+    /// `vebo_engine::PreparedGraph::transposed`, which builds the
+    /// transposed layouts once per prepared graph and reuses them.
     pub fn transposed(&self) -> Graph {
         Graph {
             out: self.into.clone(),
