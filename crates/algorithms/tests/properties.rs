@@ -105,8 +105,8 @@ proptest! {
         }
     }
 
-    /// Executor mode equivalence: sequential and parallel execution
-    /// produce identical results for every algorithm on every profile
+    /// Executor mode equivalence: sequential and sharded (parallel)
+    /// execution produce identical results for every algorithm on every profile
     /// (deterministic digests: parents become levels, floats compare
     /// within fp tolerance for the commutative-accumulation kernels).
     #[test]
@@ -128,7 +128,7 @@ proptest! {
                 let labels = |mode: ExecMode| cc(&Executor::new(profile).with_mode(mode), &pg).0;
                 prop_assert_eq!(
                     labels(ExecMode::Sequential),
-                    labels(ExecMode::Parallel),
+                    labels(ExecMode::Sharded { shards: 2 }),
                     "CC labels on {:?}", profile.kind
                 );
                 continue;
@@ -144,7 +144,7 @@ proptest! {
             // for the other 7 algorithms end to end.
             prop_assert_eq!(
                 digest(ExecMode::Sequential),
-                digest(ExecMode::Parallel),
+                digest(ExecMode::Sharded { shards: 2 }),
                 "{} on {:?}", kind.code(), profile.kind
             );
         }

@@ -16,9 +16,9 @@
 //!   compressed working set (results are bit-identical);
 //! * `--partitions <n>` — override the partition count;
 //! * `--threads <n>` — simulated machine threads (default 48);
-//! * `--executor <sequential|rayon|sharded>` — which engine backend runs
-//!   tasks (default sequential: the measured mode; per-task timings under
-//!   the concurrent backends are noisy);
+//! * `--executor <sequential|sharded>` — which engine backend runs tasks
+//!   (default sequential: the measured mode; per-task timings under the
+//!   sharded backend are noisy);
 //! * `--shards <n>` — shard count for `--executor sharded` (default 4);
 //! * `--help` — usage.
 
@@ -132,21 +132,10 @@ impl HarnessArgs {
                 "--compress" => out.compress = true,
                 "--executor" => {
                     let v = it.next().unwrap_or_else(|| usage_exit(binary, description));
-                    out.exec_mode = match v.as_str() {
-                        "sequential" | "seq" => ExecMode::Sequential,
-                        "rayon" => ExecMode::Parallel,
-                        "sharded" => match out.exec_mode {
-                            // Keep a shard count a preceding --shards set.
-                            ExecMode::Sharded { shards } => ExecMode::Sharded { shards },
-                            _ => ExecMode::Sharded { shards: 4 },
-                        },
-                        other => {
-                            eprintln!(
-                                "unknown executor '{other}'; known: sequential, rayon, sharded"
-                            );
-                            std::process::exit(2);
-                        }
-                    };
+                    out.exec_mode = parse_executor(&v, out.exec_mode).unwrap_or_else(|e| {
+                        eprintln!("{e}");
+                        std::process::exit(2);
+                    });
                 }
                 "--shards" => {
                     let v = it.next().unwrap_or_else(|| usage_exit(binary, description));
@@ -242,9 +231,24 @@ impl HarnessArgs {
     }
 }
 
+/// The backend `--executor <name>` selects; `current` is the mode parsed
+/// so far, so `sharded` keeps a shard count a preceding `--shards` set.
+fn parse_executor(name: &str, current: ExecMode) -> Result<ExecMode, String> {
+    match name {
+        "sequential" | "seq" => Ok(ExecMode::Sequential),
+        "sharded" => Ok(match current {
+            ExecMode::Sequential => ExecMode::Sharded { shards: 4 },
+            sharded => sharded,
+        }),
+        other => Err(format!(
+            "unknown executor '{other}'; known: sequential, sharded"
+        )),
+    }
+}
+
 fn usage(binary: &str, description: &str) -> String {
     format!(
-        "{binary} — {description}\n\nOptions:\n  --scale <f>      dataset scale factor (default 1.0)\n  --quick          same as --scale 0.1\n  --dataset <name> one of {:?}\n  --cache <dir>    cache datasets as binary .vgr files in <dir>\n  --mmap           reload .vgr cache snapshots via zero-copy mmap\n  --compress       run kernels over delta-varint compressed neighbor lists\n  --partitions <n> partition count override\n  --threads <n>    simulated threads (default 48)\n  --executor <b>   engine backend: sequential | rayon | sharded\n  --shards <n>     shard count (implies --executor sharded; default 4)\n  --extended       include extension orderings where supported\n  --help           this text",
+        "{binary} — {description}\n\nOptions:\n  --scale <f>      dataset scale factor (default 1.0)\n  --quick          same as --scale 0.1\n  --dataset <name> one of {:?}\n  --cache <dir>    cache datasets as binary .vgr files in <dir>\n  --mmap           reload .vgr cache snapshots via zero-copy mmap\n  --compress       run kernels over delta-varint compressed neighbor lists\n  --partitions <n> partition count override\n  --threads <n>    simulated threads (default 48)\n  --executor <b>   engine backend: sequential | sharded\n  --shards <n>     shard count (implies --executor sharded; default 4)\n  --extended       include extension orderings where supported\n  --help           this text",
         Dataset::ALL.map(|d| d.name())
     )
 }
@@ -295,9 +299,12 @@ mod tests {
         let profile = vebo_engine::SystemProfile::ligra_like();
         assert_eq!(parse(&[]).executor(profile).mode(), ExecMode::Sequential);
         assert_eq!(
-            parse(&["--executor", "rayon"]).executor(profile).mode(),
-            ExecMode::Parallel
+            parse(&["--executor", "seq"]).executor(profile).mode(),
+            ExecMode::Sequential
         );
+        // Anything else is refused (the parser exits 2 with this text).
+        let err = parse_executor("rayon", ExecMode::Sequential).unwrap_err();
+        assert!(err.contains("known: sequential, sharded"), "{err}");
         assert_eq!(
             parse(&["--executor", "sharded"]).executor(profile).mode(),
             ExecMode::Sharded { shards: 4 }

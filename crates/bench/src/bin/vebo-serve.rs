@@ -1,6 +1,6 @@
 //! `vebo-serve` — a serving-style request loop over one **mutable**
 //! graph: batched PageRank-from-seed / PRD / BFS / label-lookup queries
-//! interleaved with edge mutations, driven concurrently through any
+//! interleaved with edge mutations, driven concurrently through either
 //! executor backend.
 //!
 //! ```text
@@ -11,13 +11,13 @@
 //! # replay a script (one request per line: `pr 3`, `add 1 2`, ...)
 //! # and verify the final adjacency against an independent rebuild:
 //! cargo run --release -p vebo-bench --bin vebo-serve -- \
-//!     --requests batch.txt --executor rayon --concurrency 1 --verify-static
+//!     --requests batch.txt --executor sequential --concurrency 1 --verify-static
 //! ```
 //!
 //! Per-request digests and the combined batch digest are printed on
 //! stdout; on the default (partitioned) profiles, delta-free epochs make
-//! them bit-identical across the sequential, rayon, and sharded
-//! backends, which is exactly what the CI serve-smoke job diffs. Shard
+//! them bit-identical across the sequential and sharded backends, which
+//! is exactly what the CI serve-smoke job diffs. Shard
 //! metrics (queue depth, occupancy, steals), latency quantiles, and the
 //! dynamic-graph counters (`compactions=`, `reorders=`, `epoch=`,
 //! `epoch-age=`) go to stderr after the batch.

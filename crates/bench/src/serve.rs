@@ -56,11 +56,11 @@
 //! can be diffed across executor backends: on the partitioned profiles
 //! (Polymer, GraphGrind — the `vebo-serve` default) every float
 //! accumulation is destination-owned, so digests on delta-free epochs
-//! are **bit-identical** across the sequential, rayon, and sharded
-//! backends and CI fails on any mismatch. (On the Ligra profile, and on
-//! dirty epochs — where the overlay routes sparse traversals through the
-//! atomic push kernel — float digests may differ in the last ulp between
-//! parallel backends; integer digests, `bfs` and `label`, stay exact
+//! are **bit-identical** across the sequential and sharded backends and
+//! CI fails on any mismatch. (On the Ligra profile, and on dirty epochs
+//! — where the overlay routes sparse traversals through the atomic push
+//! kernel — float digests may differ in the last ulp between the
+//! backends; integer digests, `bfs` and `label`, stay exact
 //! everywhere.)
 //!
 //! Batches run on `concurrency` request threads pulling from a shared

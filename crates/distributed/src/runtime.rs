@@ -725,6 +725,15 @@ pub fn run_worker(coordinator: SocketAddr, g: &Graph, partitioner: Partitioner) 
             ))
         }
     };
+    if me as usize >= roster.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "start names worker {me} of a {}-worker roster",
+                roster.len()
+            ),
+        ));
+    }
     let placement = partitioner
         .place(g, roster.len())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -789,6 +798,7 @@ fn run_worker_algo(
         }
         incoming[me as usize] = gathers[me as usize].clone();
         for (peer, pairs) in mesh.recv_phase(Phase::Gather, step)? {
+            check_pairs(plan, Phase::Gather, peer, &pairs)?;
             received += pairs.len() as u64;
             incoming[peer as usize] = pairs;
         }
@@ -809,6 +819,7 @@ fn run_worker_algo(
         }
         incoming[me as usize] = scatters[me as usize].clone();
         for (peer, pairs) in mesh.recv_phase(Phase::Scatter, step)? {
+            check_pairs(plan, Phase::Scatter, peer, &pairs)?;
             received += pairs.len() as u64;
             incoming[peer as usize] = pairs;
         }
@@ -833,6 +844,29 @@ fn run_worker_algo(
     control.send(&Msg::Values {
         pairs: state.values(plan),
     })
+}
+
+/// Rejects a peer's batch that names a vertex outside `0..n` or, in the
+/// gather phase, one this machine does not master: `apply_gather` and
+/// `apply_scatter` index per-vertex state by these ids, so a corrupt or
+/// hostile peer must surface as `InvalidData`, not a panic.
+fn check_pairs(plan: &ClusterPlan, phase: Phase, peer: u32, pairs: &[ValuePair]) -> io::Result<()> {
+    let bad = pairs.iter().find(|&&(v, _)| {
+        plan.master
+            .get(v as usize)
+            .is_none_or(|&m| phase == Phase::Gather && m != plan.me)
+    });
+    match bad {
+        None => Ok(()),
+        Some(&(v, _)) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{phase:?} batch from worker {peer} names vertex {v}: out of range \
+                 or not mastered by worker {}",
+                plan.me
+            ),
+        )),
+    }
 }
 
 #[cfg(test)]

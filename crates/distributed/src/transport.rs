@@ -406,24 +406,6 @@ impl FramedConn {
             None => Ok(None),
         }
     }
-
-    /// Reads whatever the socket currently holds into the decode buffer
-    /// (one `read` call), returning the first complete message if any.
-    pub fn read_some(&mut self) -> io::Result<Option<Msg>> {
-        if let Some(msg) = self.try_buffered()? {
-            return Ok(Some(msg));
-        }
-        let mut chunk = [0u8; 64 * 1024];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed mid-protocol",
-            ));
-        }
-        self.decoder.push(&chunk[..n]);
-        self.try_buffered()
-    }
 }
 
 fn oversized(e: vebo_net::Oversized) -> io::Error {

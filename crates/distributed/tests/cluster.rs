@@ -2,18 +2,22 @@
 //! worker threads over real TCP connections on 127.0.0.1) must produce
 //! value vectors bit-identical to [`vebo_distributed::run_local`], for
 //! every partitioner and several worker counts — the multi-process
-//! analogue of the engine's sequential/parallel/sharded conformance
+//! analogue of the engine's sequential/sharded conformance
 //! suites. BFS and CC are integer fixpoints, so they are additionally
 //! worker-count-invariant; PageRank's float sums are grouped per shard,
 //! so its digest is compared at fixed worker count only.
 
 #![cfg(target_os = "linux")]
 
-use std::net::TcpListener;
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 
+use vebo_distributed::runtime::master_of;
 use vebo_distributed::sync::Coordinator;
-use vebo_distributed::{run_local, run_worker, ClusterAlgo, Partitioner, RunOutput};
+use vebo_distributed::{
+    run_local, run_worker, ClusterAlgo, FramedConn, Msg, Partitioner, RunOutput,
+};
 use vebo_graph::{Dataset, Graph};
 
 /// Runs `algos` on a real loopback cluster of `workers` processes-worth
@@ -127,5 +131,80 @@ fn superstep_metrics_are_recorded() {
         let m = plan.metrics().snapshot();
         assert_eq!(m.supersteps, 4);
         assert!(m.superstep_quantile(0.5).is_some());
+    }
+}
+
+/// Runs one real worker against a fake coordinator and, when `peer` is
+/// given, a fake mesh peer: the coordinator answers the worker's join
+/// with `start` (a 2-worker roster naming the worker `worker_id`); the
+/// fake peer (worker 1) says hello and then sends `peer`'s frames
+/// after `begin`. Returns what `run_worker` returned.
+fn run_against_fakes(worker_id: u32, peer: Option<Vec<Msg>>) -> std::io::Result<()> {
+    let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], true);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let worker = thread::spawn(move || run_worker(addr, &g, Partitioner::Hash));
+    let (stream, _) = listener.accept().unwrap();
+    let mut control = FramedConn::new(stream).unwrap();
+    let Msg::Join { mesh_port } = control.recv().unwrap() else {
+        panic!("worker must open with join");
+    };
+    let mesh: SocketAddr = ([127, 0, 0, 1], mesh_port).into();
+    control
+        .send(&Msg::Start {
+            worker_id,
+            roster: vec![mesh, "127.0.0.1:9".parse().unwrap()],
+        })
+        .unwrap();
+    // Held until the worker has returned, so its sends never hit a
+    // closed socket.
+    let mut fake_peer = None;
+    if let Some(frames) = peer {
+        let mut conn = FramedConn::new(TcpStream::connect(mesh).unwrap()).unwrap();
+        conn.send(&Msg::Hello { worker_id: 1 }).unwrap();
+        control
+            .send(&Msg::Begin {
+                algo: ClusterAlgo::Cc,
+            })
+            .unwrap();
+        for frame in &frames {
+            conn.send(frame).unwrap();
+        }
+        fake_peer = Some(conn);
+    }
+    let out = worker.join().expect("the worker must not panic");
+    drop(fake_peer);
+    out
+}
+
+#[test]
+fn start_naming_an_out_of_range_worker_is_invalid_data() {
+    let err = run_against_fakes(5, None).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+}
+
+#[test]
+fn peer_batches_naming_foreign_vertices_are_invalid_data() {
+    let n = 6u32;
+    // A vertex worker 0 does not master under the 2-way hash placement.
+    let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], true);
+    let placement = Partitioner::Hash.place(&g, 2).unwrap();
+    let foreign = (0..n)
+        .find(|&v| master_of(placement.replicas_of(v), v, 2) != 0)
+        .expect("hash placement splits the ring");
+    let gather = |pairs| Msg::Gather { step: 0, pairs };
+    for frames in [
+        vec![gather(vec![(n + 5, 0)])],
+        vec![gather(vec![(foreign, 0)])],
+        vec![
+            gather(Vec::new()),
+            Msg::Scatter {
+                step: 0,
+                pairs: vec![(u32::MAX, 0)],
+            },
+        ],
+    ] {
+        let err = run_against_fakes(0, Some(frames.clone())).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{frames:?}: {err}");
     }
 }

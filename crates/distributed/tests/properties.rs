@@ -1,11 +1,17 @@
 //! Property-based tests for the distributed partitioners and the BSP
-//! simulator: conservation laws and capacity bounds that must hold on
-//! arbitrary graphs.
+//! simulator — conservation laws and capacity bounds that must hold on
+//! arbitrary graphs — and for the cluster wire decoder, which must turn
+//! any byte string into a message or an error, never a panic.
 
 use proptest::prelude::*;
+use std::io::ErrorKind;
+use std::net::SocketAddr;
 use vebo_distributed::bsp::{superstep, ClusterConfig};
+use vebo_distributed::transport::ValuePair;
 use vebo_distributed::vertex_cut::random_edge_placement;
-use vebo_distributed::{hash_partition, DistributedError, Fennel, GreedyVertexCut, HybridCut, Ldg};
+use vebo_distributed::{
+    hash_partition, ClusterAlgo, DistributedError, Fennel, GreedyVertexCut, HybridCut, Ldg, Msg,
+};
 use vebo_graph::{mix64, Graph, VertexId};
 use vebo_partition::{Multilevel, VertexAssignment};
 
@@ -183,5 +189,87 @@ proptest! {
         let max = *a.vertex_counts().iter().max().unwrap();
         let cap = (g.num_vertices() as f64 / p as f64) * 1.05 + 2.0;
         prop_assert!(max as f64 <= cap.ceil() + 1.0, "max {} cap {}", max, cap);
+    }
+}
+
+/// One message of every [`Msg`] variant, built from random field values.
+fn every_variant(a: u32, b: u64, port: u16, pairs: Vec<ValuePair>) -> Vec<Msg> {
+    let algo = match a % 3 {
+        0 => ClusterAlgo::PageRank { iters: a },
+        1 => ClusterAlgo::Bfs { source: a },
+        _ => ClusterAlgo::Cc,
+    };
+    vec![
+        Msg::Join { mesh_port: port },
+        Msg::Start {
+            worker_id: a,
+            roster: (0..a % 4)
+                .map(|i| SocketAddr::from(([127, 0, 0, i as u8], port)))
+                .collect(),
+        },
+        Msg::Hello { worker_id: a },
+        Msg::Begin { algo },
+        Msg::Gather {
+            step: a,
+            pairs: pairs.clone(),
+        },
+        Msg::Scatter {
+            step: a,
+            pairs: pairs.clone(),
+        },
+        Msg::StepDone {
+            step: a,
+            active: b,
+            sent: b.rotate_left(7),
+        },
+        Msg::Continue {
+            step: a,
+            go: b.is_multiple_of(2),
+        },
+        Msg::Values { pairs },
+        Msg::Shutdown,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes behind any tag byte (the ten tags plus one unknown
+    /// on each side) never panic the decoder, and whatever it accepts
+    /// survives an encode/decode round trip.
+    #[test]
+    fn decode_never_panics_on_arbitrary_bytes(
+        tag in 0u8..12,
+        body in prop::collection::vec(any::<u8>(), 0..65),
+    ) {
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&body);
+        if let Ok(m) = Msg::decode(&payload) {
+            let again = Msg::decode(&m.encode());
+            prop_assert!(again.as_ref().is_ok_and(|d| *d == m), "{:?} -> {:?}", m, again);
+        }
+    }
+
+    /// Every strict prefix of a valid encoding, of every variant, is an
+    /// `InvalidData` error rather than a panic or a shorter message; the
+    /// whole encoding round-trips.
+    #[test]
+    fn truncated_encodings_are_invalid_data(
+        a in any::<u32>(),
+        b in any::<u64>(),
+        port in 0u16..u16::MAX,
+        pairs in prop::collection::vec((any::<u32>(), any::<u64>()), 0..5),
+    ) {
+        for msg in every_variant(a, b, port, pairs) {
+            let bytes = msg.encode();
+            for cut in 0..bytes.len() {
+                let err = Msg::decode(&bytes[..cut]);
+                prop_assert!(
+                    err.as_ref().is_err_and(|e| e.kind() == ErrorKind::InvalidData),
+                    "{:?} cut at {}: {:?}", msg, cut, err
+                );
+            }
+            prop_assert_eq!(Msg::decode(&bytes).ok(), Some(msg));
+        }
     }
 }

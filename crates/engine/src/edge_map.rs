@@ -818,14 +818,14 @@ mod tests {
     }
 
     #[test]
-    fn rayon_parallel_matches_sequential() {
+    fn sharded_multi_seed_matches_sequential() {
         let g = test_graph();
         let n = g.num_vertices();
         let profile = SystemProfile::graphgrind_like(EdgeOrder::Csr);
         let pg = PreparedGraph::new(g.clone(), profile);
         let seeds: Vec<VertexId> = (0..50).map(|i| i * 13 % n as u32).collect();
         let mut outputs = Vec::new();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        for mode in [ExecMode::Sequential, ExecMode::Sharded { shards: 2 }] {
             let exec = Executor::new(profile).with_mode(mode);
             let op = ParentOp::new(n);
             for &s in &seeds {

@@ -9,8 +9,9 @@
 //! it:
 //!
 //! * **Mode** ([`ExecMode`]) — sequential measured execution (the
-//!   default: per-task wall times feed the scheduling simulator) or
-//!   rayon-parallel execution, verified equivalent by property tests.
+//!   default: per-task wall times feed the scheduling simulator) or the
+//!   [`crate::sharded`] worker pool, verified equivalent by conformance
+//!   and property tests.
 //! * **NUMA placement** — for statically scheduled profiles (Polymer,
 //!   GraphGrind) the executor derives a
 //!   [`PlacementPlan`](vebo_partition::PlacementPlan) from the profile's
@@ -32,7 +33,6 @@ use crate::prepared::PreparedGraph;
 use crate::profile::{Scheduling, SystemProfile};
 use crate::sharded::{ShardOpReport, ShardedExecutor};
 use crate::vertex_map::{vertex_map_impl, VertexMapReport};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 use vebo_graph::VertexId;
@@ -46,16 +46,12 @@ pub enum ExecMode {
     /// and bit-reproducible run to run.
     #[default]
     Sequential,
-    /// Tasks run on the rayon pool. Results are identical (property
-    /// tested); per-task times become noisy under oversubscription, so
-    /// use this for throughput, not for simulator input.
-    Parallel,
     /// Tasks run on `shards` long-lived worker threads, each owning one
     /// shard of the task space with its own work queue and a
-    /// work-stealing fallback — the serving backend (see
-    /// [`crate::sharded`]). Results are identical to the other modes
-    /// (conformance tested); selecting this mode spawns the workers,
-    /// which are shared by every clone of the executor.
+    /// work-stealing fallback (see [`crate::sharded`]). Results are
+    /// identical to [`ExecMode::Sequential`] (conformance tested);
+    /// selecting this mode spawns the workers, which are shared by every
+    /// clone of the executor.
     Sharded {
         /// Number of shards (= worker threads); must be at least 1.
         shards: usize,
@@ -104,13 +100,12 @@ impl Direction {
 #[derive(Clone)]
 pub struct Executor {
     profile: SystemProfile,
-    mode: ExecMode,
     direction: Direction,
     threshold_den: usize,
     numa_placement: bool,
     sinks: Vec<Arc<dyn InstrumentSink>>,
-    /// Long-lived worker pool, present exactly when `mode` is
-    /// [`ExecMode::Sharded`]; shared (`Arc`) by every clone.
+    /// The [`ExecMode::Sharded`] worker pool, shared (`Arc`) by every
+    /// clone; `None` runs sequentially. The mode is derived from it.
     pool: Option<Arc<ShardedExecutor>>,
 }
 
@@ -118,7 +113,7 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("profile", &self.profile.kind)
-            .field("mode", &self.mode)
+            .field("mode", &self.mode())
             .field("direction", &self.direction)
             .field("threshold_den", &self.threshold_den)
             .field("numa_placement", &self.numa_placement)
@@ -134,7 +129,6 @@ impl Executor {
     pub fn new(profile: SystemProfile) -> Executor {
         Executor {
             profile,
-            mode: ExecMode::default(),
             direction: Direction::default(),
             threshold_den: 20,
             numa_placement: true,
@@ -157,19 +151,23 @@ impl Executor {
 
     /// The execution mode.
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        match &self.pool {
+            Some(pool) => ExecMode::Sharded {
+                shards: pool.num_shards(),
+            },
+            None => ExecMode::Sequential,
+        }
     }
 
-    /// Selects sequential (measured), rayon-parallel, or sharded
-    /// execution. Selecting [`ExecMode::Sharded`] spawns the worker pool
-    /// (long-lived threads shared by every clone of this executor);
-    /// selecting any other mode drops this executor's reference to a
+    /// Selects sequential (measured) or sharded execution. Selecting
+    /// [`ExecMode::Sharded`] spawns the worker pool (long-lived threads
+    /// shared by every clone of this executor); selecting
+    /// [`ExecMode::Sequential`] drops this executor's reference to a
     /// previously spawned pool.
     pub fn with_mode(mut self, mode: ExecMode) -> Executor {
-        self.mode = mode;
         self.pool = match mode {
+            ExecMode::Sequential => None,
             ExecMode::Sharded { shards } => Some(Arc::new(ShardedExecutor::spawn(shards))),
-            _ => None,
         };
         self
     }
@@ -321,28 +319,18 @@ impl Executor {
 
     fn task_policy(&self) -> TaskPolicy<'_> {
         TaskPolicy {
-            exec: match (self.mode, &self.pool) {
-                (ExecMode::Sharded { .. }, Some(pool)) => TaskExec::Sharded(pool),
-                (ExecMode::Parallel, _) => TaskExec::Rayon,
-                _ => TaskExec::Sequential,
-            },
+            pool: self.pool.as_deref(),
             placement: self.placement_topology(),
             threshold_den: self.threshold_den,
         }
     }
 }
 
-/// Which backend runs one operation's tasks.
-enum TaskExec<'a> {
-    Sequential,
-    Rayon,
-    Sharded(&'a ShardedExecutor),
-}
-
 /// How one operation's tasks execute: resolved from the executor, passed
 /// into the traversal kernels.
 pub(crate) struct TaskPolicy<'a> {
-    exec: TaskExec<'a>,
+    /// The sharded backend's pool; `None` runs the tasks sequentially.
+    pool: Option<&'a ShardedExecutor>,
     placement: Option<NumaTopology>,
     /// The executor's density-threshold denominator: `edge_map`'s
     /// direction choice and both operations' output-representation switch.
@@ -351,20 +339,19 @@ pub(crate) struct TaskPolicy<'a> {
 
 impl TaskPolicy<'_> {
     /// Runs `num_tasks` tasks, timing each; `f(task) -> (edges, vertices)`.
-    /// With a placement topology, the sequential and rayon backends visit
-    /// tasks in the plan's socket-major interleaved order, the sharded
-    /// backend splits them into socket-aligned shards; all three stamp
-    /// each task's socket. Returns the per-task stats plus the per-shard
-    /// report when the sharded backend ran.
+    /// With a placement topology, the sequential backend visits tasks in
+    /// the plan's socket-major interleaved order and the sharded backend
+    /// splits them into socket-aligned shards; both stamp each task's
+    /// socket. Returns the per-task stats plus the per-shard report when
+    /// the sharded backend ran.
     pub(crate) fn run<F>(&self, num_tasks: usize, f: F) -> (Vec<TaskStats>, Option<ShardOpReport>)
     where
         F: Fn(usize) -> (u64, u64) + Sync,
     {
-        if let TaskExec::Sharded(pool) = &self.exec {
+        if let Some(pool) = self.pool {
             let (stats, report) = pool.run_tasks(num_tasks, self.placement.as_ref(), f);
             return (stats, Some(report));
         }
-        let parallel = matches!(self.exec, TaskExec::Rayon);
         let timed = |t: usize| {
             let t0 = Instant::now();
             let (edges, vertices) = f(t);
@@ -376,27 +363,12 @@ impl TaskPolicy<'_> {
             }
         };
         let stats = match &self.placement {
-            None => {
-                if parallel {
-                    (0..num_tasks).into_par_iter().map(timed).collect()
-                } else {
-                    (0..num_tasks).map(timed).collect()
-                }
-            }
+            None => (0..num_tasks).map(timed).collect(),
             Some(topo) => {
                 let plan = topo.placement_plan(num_tasks);
-                let order = plan.execution_order();
                 let mut stats = vec![TaskStats::default(); num_tasks];
-                if parallel {
-                    let done: Vec<(usize, TaskStats)> =
-                        order.par_iter().map(|&t| (t, timed(t))).collect();
-                    for (t, s) in done {
-                        stats[t] = s;
-                    }
-                } else {
-                    for &t in &order {
-                        stats[t] = timed(t);
-                    }
+                for t in plan.execution_order() {
+                    stats[t] = timed(t);
                 }
                 for (t, s) in stats.iter_mut().enumerate() {
                     s.socket = plan.socket_of(t) as u32;
@@ -538,7 +510,7 @@ mod tests {
         let pg = PreparedGraph::builder(g).profile(profile).build().unwrap();
         let seeds: Vec<VertexId> = (0..50).map(|i| i * 13 % n as u32).collect();
         let mut outputs = Vec::new();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        for mode in [ExecMode::Sequential, ExecMode::Sharded { shards: 3 }] {
             let exec = Executor::new(profile).with_mode(mode);
             let op = ParentOp::new(n);
             for &s in &seeds {

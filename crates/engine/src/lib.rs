@@ -18,12 +18,13 @@
 //! so parallel wall-clock cannot be observed directly; instead, every
 //! `edge_map`/`vertex_map` measures per-task work and a deterministic
 //! [`schedule`] simulator computes the 48-thread makespan under each
-//! profile's scheduling policy (static vs work-stealing). Two concurrent
-//! backends are provided and conformance-tested for equivalence:
-//! rayon-parallel execution ([`ExecMode::Parallel`]) for one-shot batch
-//! jobs, and the [`sharded`] serving backend ([`ExecMode::Sharded`]) —
-//! long-lived per-shard worker threads with work-stealing — for
-//! request loops firing many small operations (see `vebo-serve`).
+//! profile's scheduling policy (static vs work-stealing). That measured
+//! sequential mode has one concurrent counterpart, conformance-tested
+//! for equivalence: the [`sharded`] backend ([`ExecMode::Sharded`]) —
+//! statically assigned partitions on long-lived per-shard worker
+//! threads with a work-stealing fallback — which runs one-shot batch
+//! jobs and request loops firing many small operations (see
+//! `vebo-serve`) alike.
 //!
 //! ```
 //! use vebo_engine::{Executor, Frontier, PreparedGraph, SystemProfile};

@@ -1,14 +1,12 @@
-//! The sharded serving backend behind the [`crate::Executor`] policy
-//! seam: `S` long-lived worker threads, each owning one shard of the
-//! task space, with per-shard work queues and a work-stealing fallback
-//! for straggler shards.
+//! The engine's one concurrent backend behind the [`crate::Executor`]
+//! policy seam: `S` long-lived worker threads, each owning one shard of
+//! the task space, with per-shard work queues and a work-stealing
+//! fallback for straggler shards — the paper's statically assigned
+//! partitions on persistent threads (Polymer, GraphGrind).
 //!
-//! The rayon backend ([`crate::ExecMode::Parallel`]) spins up scoped
-//! threads per operation — right for one big batch job, wasteful when a
-//! serving process fires thousands of small operations per second. The
-//! sharded backend amortizes thread creation to zero: workers are
-//! spawned once when [`crate::ExecMode::Sharded`] is selected and live
-//! as long as the executor (any clone of it) does. Each `edge_map` /
+//! Thread creation is amortized to zero: workers are spawned once when
+//! [`crate::ExecMode::Sharded`] is selected and live as long as the
+//! executor (any clone of it) does. Each `edge_map` /
 //! `vertex_map` becomes a **fan-out** (one job message per worker, the
 //! operation closure shared by reference) and a **fan-in** (a latch the
 //! caller waits on), so concurrent request threads can drive the same
@@ -161,14 +159,11 @@ thread_local! {
 /// clone of that executor (so `Executor::recorded` keeps reusing the
 /// same workers). Workers shut down when the last clone drops.
 ///
-/// Compared to the rayon backend, this wins exactly when operations are
-/// many and small — serving-style workloads — because thread startup is
-/// paid once, task-to-worker affinity is stable (shard `s`'s partitions
-/// are always touched by worker `s` unless stolen, keeping caches and
-/// socket-local arrays warm), and concurrent requests interleave in the
-/// queues instead of fighting over a global pool. For one large batch
-/// operation on an otherwise idle machine, rayon's finer-grained
-/// chunking is just as good.
+/// Thread startup is paid once, task-to-worker affinity is stable (shard
+/// `s`'s partitions are always touched by worker `s` unless stolen,
+/// keeping caches and socket-local arrays warm), and concurrent requests
+/// interleave in the queues instead of fighting over a global pool —
+/// which serves one big batch operation as well as many small ones.
 pub struct ShardedExecutor {
     senders: Vec<Sender<Msg>>,
     workers: Vec<JoinHandle<()>>,

@@ -1,7 +1,7 @@
 //! Shared-state primitives for parallel graph traversal.
 //!
 //! All algorithm state in this workspace is stored in atomics so that
-//! every traversal mode (sequential measured, rayon-parallel, push or
+//! every traversal mode (sequential measured, sharded-parallel, push or
 //! pull) is data-race free by construction — the same guarantee the
 //! Cilk-based frameworks in the paper get from their runtime. On x86-64,
 //! relaxed atomic loads/stores compile to plain moves, so the pull-mode

@@ -166,7 +166,7 @@ mod tests {
         let pg = PreparedGraph::new(g, profile);
         let (a, _) = Executor::new(profile).vertex_map_all(&pg, |v| v % 7 == 1);
         let (b, _) = Executor::new(profile)
-            .with_mode(ExecMode::Parallel)
+            .with_mode(ExecMode::Sharded { shards: 2 })
             .vertex_map_all(&pg, |v| v % 7 == 1);
         let va: Vec<_> = a.iter_active().collect();
         let vb: Vec<_> = b.iter_active().collect();

@@ -5,7 +5,7 @@
 //! with exactly such bounds, and checks `vertex_map`'s representation
 //! switch follows the executor's threshold.
 
-use vebo_engine::{Direction, EdgeOp, ExecMode, Executor, Frontier, PreparedGraph, SystemProfile};
+use vebo_engine::{Direction, EdgeOp, Executor, Frontier, PreparedGraph, SystemProfile};
 use vebo_graph::graph::mix64;
 use vebo_graph::{Graph, VertexId};
 use vebo_partition::{EdgeOrder, PartitionBounds};
@@ -53,13 +53,7 @@ impl EdgeOp for Picky {
 }
 
 fn backends(profile: SystemProfile) -> Vec<(String, Executor)> {
-    let mut out = vec![
-        ("sequential".to_string(), Executor::new(profile)),
-        (
-            "parallel".to_string(),
-            Executor::new(profile).with_mode(ExecMode::Parallel),
-        ),
-    ];
+    let mut out = vec![("sequential".to_string(), Executor::new(profile))];
     for shards in [1, 2, 7] {
         out.push((
             format!("sharded/{shards}"),

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use vebo_engine::shared::AtomicF64;
-use vebo_engine::{Direction, EdgeOp, ExecMode, Executor, Frontier, PreparedGraph, SystemProfile};
+use vebo_engine::{Direction, EdgeOp, Executor, Frontier, PreparedGraph, SystemProfile};
 use vebo_graph::graph::mix64;
 use vebo_graph::{Graph, VertexId};
 use vebo_partition::EdgeOrder;
@@ -106,7 +106,7 @@ proptest! {
         }
     }
 
-    /// Executor policies — parallel mode, NUMA placement on/off — never
+    /// Executor policies — sharded mode, NUMA placement on/off — never
     /// change the result, on every profile.
     #[test]
     fn executor_policies_preserve_results((g, frontier) in arb_case()) {
@@ -117,11 +117,9 @@ proptest! {
         ] {
             let reference = run_mode(&g, &frontier, &Executor::new(profile), Direction::Auto);
             for exec in [
-                Executor::new(profile).with_mode(ExecMode::Parallel),
+                Executor::sharded(profile, 2),
                 Executor::new(profile).with_numa_placement(false),
-                Executor::new(profile)
-                    .with_mode(ExecMode::Parallel)
-                    .with_numa_placement(false),
+                Executor::sharded(profile, 3).with_numa_placement(false),
             ] {
                 let got = run_mode(&g, &frontier, &exec, Direction::Auto);
                 prop_assert_eq!(&got.1, &reference.1, "activation sets differ");

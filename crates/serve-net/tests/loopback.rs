@@ -1,7 +1,7 @@
 //! Loopback conformance: digests served over real TCP — micro-batching,
 //! admission control and all — must be **bit-identical** to an
 //! in-process `ServeEngine` handling the same script sequentially, on
-//! both concurrent executor backends. Plus the observable-backpressure
+//! both executor backends (the sequential reference and sharded). Plus the observable-backpressure
 //! and graceful-drain contracts of the server.
 
 #![cfg(target_os = "linux")]
@@ -105,8 +105,8 @@ fn conformance(mode: ExecMode) {
 }
 
 #[test]
-fn tcp_digests_match_in_process_on_rayon() {
-    conformance(ExecMode::Parallel);
+fn tcp_digests_match_in_process_on_sequential() {
+    conformance(ExecMode::Sequential);
 }
 
 #[test]
@@ -116,7 +116,7 @@ fn tcp_digests_match_in_process_on_sharded() {
 
 #[test]
 fn tiny_inflight_bound_answers_busy() {
-    let served = Arc::new(engine(ExecMode::Parallel));
+    let served = Arc::new(engine(ExecMode::Sharded { shards: 2 }));
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -168,7 +168,7 @@ fn tiny_inflight_bound_answers_busy() {
 
 #[test]
 fn malformed_lines_get_err_replies_and_oversized_frames_close() {
-    let served = Arc::new(engine(ExecMode::Parallel));
+    let served = Arc::new(engine(ExecMode::Sharded { shards: 2 }));
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let stop = AtomicBool::new(false);
@@ -209,11 +209,7 @@ fn weighted_snapshot_answers_err_to_mutations_and_keeps_serving() {
     // panic that kills the daemon.
     let g = Dataset::YahooLike.build(0.03).with_hash_weights(16);
     let profile = SystemProfile::polymer_like();
-    let served = Arc::new(ServeEngine::new(
-        g,
-        profile,
-        Executor::new(profile).with_mode(ExecMode::Parallel),
-    ));
+    let served = Arc::new(ServeEngine::new(g, profile, Executor::sharded(profile, 2)));
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let stop = AtomicBool::new(false);
@@ -251,7 +247,7 @@ fn full_delta_log_answers_busy_and_recovers_after_compaction() {
     // Bound the delta log at one buffered mutation: a pipelined burst of
     // distinct inserts must see `busy` while the background compactor
     // catches up, and the engine keeps answering (no panic, no hang).
-    let mut e = engine(ExecMode::Parallel);
+    let mut e = engine(ExecMode::Sharded { shards: 2 });
     e.set_log_capacity(1);
     e.set_compaction_blocking(false);
     let served = Arc::new(e);
@@ -306,7 +302,7 @@ fn read_budget_bounds_one_connections_drain_per_event() {
     // floods more bytes than READ_BUDGET before the readiness loop runs
     // must be drained across multiple events (counted as fair yields),
     // with every frame still answered in order.
-    let served = Arc::new(engine(ExecMode::Parallel));
+    let served = Arc::new(engine(ExecMode::Sharded { shards: 2 }));
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -356,7 +352,7 @@ fn read_budget_bounds_one_connections_drain_per_event() {
 
 #[test]
 fn drain_completes_admitted_requests_before_exit() {
-    let served = Arc::new(engine(ExecMode::Parallel));
+    let served = Arc::new(engine(ExecMode::Sharded { shards: 2 }));
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let stop = AtomicBool::new(false);

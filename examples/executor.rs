@@ -1,12 +1,13 @@
 //! Tour of the executor-centric engine API.
 //!
-//! One `Executor` owns every execution policy — threading mode, NUMA
+//! One `Executor` owns every execution policy — execution mode, NUMA
 //! placement, scheduling, instrumentation — and `PreparedGraph::builder`
 //! is the single construction path for execution-ready graphs. This
 //! example walks through all four responsibilities:
 //!
 //! 1. build a prepared graph (with VEBO's exact boundaries) per profile;
-//! 2. run an algorithm sequentially vs in parallel (identical results);
+//! 2. run an algorithm sequentially vs on the sharded worker pool
+//!    (identical results);
 //! 3. inspect the NUMA placement plan of a statically scheduled profile
 //!    and the per-socket time split of a measured edgemap;
 //! 4. attach a custom instrumentation sink.
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vebo::core::Vebo;
 use vebo::engine::{
-    DensityClass, EdgeMapReport, ExecMode, Executor, InstrumentSink, PreparedGraph, SystemProfile,
+    DensityClass, EdgeMapReport, Executor, InstrumentSink, PreparedGraph, SystemProfile,
     VertexMapReport,
 };
 use vebo::graph::Dataset;
@@ -67,18 +68,18 @@ fn main() {
         pg.num_tasks()
     );
 
-    // ---- 2. sequential (measured) vs parallel execution --------------
+    // ---- 2. sequential (measured) vs sharded execution ---------------
     let cfg = PageRankConfig::default();
     let sequential = Executor::new(profile);
-    let parallel = Executor::new(profile).with_mode(ExecMode::Parallel);
+    let sharded = Executor::sharded(profile, 2);
     let (ranks_seq, report) = pagerank(&sequential, &pg, &cfg);
-    let (ranks_par, _) = pagerank(&parallel, &pg, &cfg);
+    let (ranks_sharded, _) = pagerank(&sharded, &pg, &cfg);
     let max_diff = ranks_seq
         .iter()
-        .zip(&ranks_par)
+        .zip(&ranks_sharded)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
-    println!("sequential vs parallel PageRank: max |diff| = {max_diff:.2e}");
+    println!("sequential vs sharded PageRank: max |diff| = {max_diff:.2e}");
     println!(
         "simulated {}-thread runtime ({:?} scheduling): {:.3} ms",
         profile.topology.num_threads,

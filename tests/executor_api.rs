@@ -1,11 +1,11 @@
 //! Integration tests for the executor-centric engine API: execution
-//! policy (sequential vs parallel, NUMA placement on vs off) must never
+//! policy (sequential vs sharded, NUMA placement on vs off) must never
 //! change algorithm results, on any profile, for all eight algorithms —
 //! and statically scheduled executors must report a socket for every
 //! task.
 
 use proptest::prelude::*;
-use vebo::engine::{ExecMode, Executor, PreparedGraph, SystemProfile};
+use vebo::engine::{Executor, PreparedGraph, SystemProfile};
 use vebo::partition::EdgeOrder;
 use vebo_algorithms::bc::bc;
 use vebo_algorithms::bellman_ford::bellman_ford;
@@ -90,8 +90,8 @@ fn assert_digests_agree(a: &[f64], b: &[f64], tag: &str) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sequential and parallel executors produce the same results for
-    /// all 8 algorithms x 3 system profiles.
+    /// Sequential and sharded (parallel) executors produce the same
+    /// results for all 8 algorithms x 3 system profiles.
     #[test]
     fn sequential_matches_parallel_for_every_algorithm(g in arb_graph()) {
         for profile in profiles() {
@@ -103,11 +103,7 @@ proptest! {
                 };
                 let pg = PreparedGraph::builder(g).profile(profile).build().unwrap();
                 let seq = digest(kind, &Executor::new(profile), &pg);
-                let par = digest(
-                    kind,
-                    &Executor::new(profile).with_mode(ExecMode::Parallel),
-                    &pg,
-                );
+                let par = digest(kind, &Executor::sharded(profile, 2), &pg);
                 assert_digests_agree(
                     &seq,
                     &par,

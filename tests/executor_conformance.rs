@@ -1,5 +1,5 @@
 //! Cross-executor conformance suite: every executor backend — sequential
-//! measured, rayon-parallel, and sharded at S ∈ {1, 2, 7} — must be
+//! measured and sharded at S ∈ {1, 2, 7} — must be
 //! *indistinguishable* for all 8 algorithms on all 3 system profiles.
 //! The sharded serving backend joins with the same day-one coverage the
 //! storage backends got in `storage_equivalence.rs`.
@@ -46,7 +46,7 @@
 mod common;
 
 use common::assert_reports_match;
-use vebo::engine::{Direction, ExecMode, Executor, PreparedGraph, RunReport, SystemProfile};
+use vebo::engine::{Direction, Executor, PreparedGraph, RunReport, SystemProfile};
 use vebo::graph::{mix64, DynamicGraph, Graph};
 use vebo::partition::EdgeOrder;
 use vebo_algorithms::bc::bc;
@@ -70,13 +70,7 @@ fn profiles() -> [SystemProfile; 3] {
 
 /// The backends under test: name, executor factory.
 fn backends(profile: SystemProfile) -> Vec<(String, Executor)> {
-    let mut out = vec![
-        ("sequential".to_string(), Executor::new(profile)),
-        (
-            "rayon".to_string(),
-            Executor::new(profile).with_mode(ExecMode::Parallel),
-        ),
-    ];
+    let mut out = vec![("sequential".to_string(), Executor::new(profile))];
     for shards in [1usize, 2, 7] {
         out.push((
             format!("sharded-{shards}"),
