@@ -26,6 +26,14 @@
 //! in-process with no sockets at all — the conformance suites prove the
 //! socket cluster bit-identical to it, and (for the integer-valued
 //! fixpoints BFS and CC) to the single-process engine algorithms.
+//!
+//! A superstep costs what its edges cost. The PageRank gather is a
+//! dense pull, which owns each destination, so its `update` is a plain
+//! read-modify-write; only push traversals go through `update_atomic`.
+//! The BFS and CC gathers take the vertices they reached or lowered from
+//! the edge map's output frontier, already ascending. Per-vertex scratch
+//! buffers are allocated once per run and reset by each superstep, and
+//! batches are moved into their frames, never cloned.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,7 +44,7 @@ use crate::error::DistributedError;
 use crate::hybrid_cut::HybridCut;
 use crate::transport::{FramedConn, Mesh, Msg, Phase, ValuePair};
 use crate::vertex_cut::{random_edge_placement, EdgePlacement, GreedyVertexCut};
-use vebo_engine::shared::{atomic_f64_vec, AtomicBitset, AtomicF64};
+use vebo_engine::shared::{atomic_f64_vec, AtomicF64};
 use vebo_engine::{
     Direction, EdgeOp, ExecMode, Executor, Frontier, PreparedGraph, ShardMetricsSink, SystemProfile,
 };
@@ -260,6 +268,13 @@ fn empty_batches(machines: usize) -> Batches {
 /// `acc[dst]` over the shard's arcs. Sequential + forced-dense, so the
 /// floating-point sum order is the shard CSC order — identical for the
 /// in-process and socket runners.
+///
+/// Ownership rule: the dense pull owns `dst` (one task scans each
+/// destination's in-list), so [`EdgeOp::update`] is a plain relaxed
+/// load + store — no locked CAS per edge. Push traversals, where several
+/// sources may hit one destination at once, go through
+/// [`EdgeOp::update_atomic`]'s `fetch_add`. Both perform the same
+/// rounded `f64` addition, so the sum order alone fixes the bits.
 struct PrGather<'a> {
     contrib: &'a [f64],
     acc: &'a [AtomicF64],
@@ -267,25 +282,29 @@ struct PrGather<'a> {
 
 impl EdgeOp for PrGather<'_> {
     fn update(&self, src: VertexId, dst: VertexId, _w: f32) -> bool {
-        self.acc[dst as usize].fetch_add(self.contrib[src as usize]);
+        let a = &self.acc[dst as usize];
+        a.store(a.load() + self.contrib[src as usize]);
         false
     }
 
-    fn update_atomic(&self, src: VertexId, dst: VertexId, w: f32) -> bool {
-        self.update(src, dst, w)
+    fn update_atomic(&self, src: VertexId, dst: VertexId, _w: f32) -> bool {
+        self.acc[dst as usize].fetch_add(self.contrib[src as usize]);
+        false
     }
 }
 
-/// BFS gather operator: mark unvisited destinations reachable from the
-/// frontier as candidates (push-sparse, CAS-deduplicated).
+/// BFS gather operator: every unvisited destination the frontier
+/// reaches joins the edge map's output frontier. `levels` is frozen for
+/// the whole compute phase and `cond` gates every update, so a
+/// destination reached twice is simply set twice in the engine's output
+/// bitset.
 struct BfsGather<'a> {
     levels: &'a [u32],
-    candidates: &'a AtomicBitset,
 }
 
 impl EdgeOp for BfsGather<'_> {
-    fn update(&self, _src: VertexId, dst: VertexId, _w: f32) -> bool {
-        self.levels[dst as usize] == UNVISITED && self.candidates.set(dst as usize)
+    fn update(&self, _src: VertexId, _dst: VertexId, _w: f32) -> bool {
+        true
     }
 
     fn update_atomic(&self, src: VertexId, dst: VertexId, w: f32) -> bool {
@@ -298,11 +317,11 @@ impl EdgeOp for BfsGather<'_> {
 }
 
 /// CC gather operator: lower `next[dst]` toward `labels[src]` (the
-/// frozen pre-superstep label) and mark lowered destinations.
+/// frozen pre-superstep label); a lowered destination joins the edge
+/// map's output frontier.
 struct CcGather<'a> {
     labels: &'a [u32],
     next: &'a [AtomicU32],
-    changed: &'a AtomicBitset,
 }
 
 impl EdgeOp for CcGather<'_> {
@@ -312,10 +331,7 @@ impl EdgeOp for CcGather<'_> {
         let mut cur = slot.load(Ordering::Relaxed);
         while cand < cur {
             match slot.compare_exchange(cur, cand, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => {
-                    self.changed.set(dst as usize);
-                    return false;
-                }
+                Ok(_) => return true,
                 Err(now) => cur = now,
             }
         }
@@ -327,10 +343,18 @@ impl EdgeOp for CcGather<'_> {
     }
 }
 
-/// Algorithm-specific mutable state of one worker.
+/// Algorithm-specific mutable state of one worker. Every n-long buffer
+/// is allocated once per run, in [`WorkerState::new`]; supersteps reset
+/// what they touched instead of allocating afresh.
 enum AlgoState {
     Pr {
         x: Vec<f64>,
+        /// `x[v] / global_out_degree(v)`, rewritten every superstep.
+        contrib: Vec<f64>,
+        /// Sums: the shard's partials in the compute phase, the
+        /// masters' combined partials in the gather phase, all zero
+        /// between phases.
+        acc: Vec<AtomicF64>,
     },
     Bfs {
         levels: Vec<u32>,
@@ -338,6 +362,9 @@ enum AlgoState {
     },
     Cc {
         labels: Vec<u32>,
+        /// Candidate labels of the compute phase; equal to `labels`
+        /// between supersteps.
+        next: Vec<AtomicU32>,
         frontier: Vec<VertexId>,
     },
 }
@@ -357,6 +384,8 @@ impl WorkerState {
         let state = match algo {
             ClusterAlgo::PageRank { .. } => AlgoState::Pr {
                 x: vec![1.0 / n.max(1) as f64; n],
+                contrib: vec![0.0; n],
+                acc: atomic_f64_vec(n, 0.0),
             },
             ClusterAlgo::Bfs { source } => {
                 let source = if n == 0 { 0 } else { source % n as u32 };
@@ -371,6 +400,7 @@ impl WorkerState {
             }
             ClusterAlgo::Cc => AlgoState::Cc {
                 labels: (0..n as u32).collect(),
+                next: (0..n as u32).map(AtomicU32::new).collect(),
                 frontier: (0..n as VertexId).collect(),
             },
         };
@@ -379,69 +409,56 @@ impl WorkerState {
 
     /// Phase 1 — local compute: one edge map over the shard, producing
     /// the per-master gather batches (ascending vertex ids; the slot
-    /// for `plan.machine()` is the loopback batch).
+    /// for `plan.machine()` is the loopback batch). BFS and CC read the
+    /// vertices they reached or lowered from the edge map's output
+    /// frontier, which lists them ascending.
     pub fn compute_gather(&mut self, plan: &ClusterPlan) -> Batches {
         let n = plan.n;
         let mut out = empty_batches(plan.machines);
         match &mut self.state {
-            AlgoState::Pr { x } => {
-                let contrib: Vec<f64> = (0..n)
-                    .map(|v| {
-                        let d = plan.global_out_degree[v];
-                        if d > 0 {
-                            x[v] / d as f64
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                let acc = atomic_f64_vec(n, 0.0);
-                let op = PrGather {
-                    contrib: &contrib,
-                    acc: &acc,
-                };
-                let frontier = Frontier::all(n);
+            AlgoState::Pr { x, contrib, acc } => {
+                for (v, c) in contrib.iter_mut().enumerate() {
+                    let d = plan.global_out_degree[v];
+                    *c = if d > 0 { x[v] / d as f64 } else { 0.0 };
+                }
+                let op = PrGather { contrib, acc };
                 plan.exec
-                    .edge_map_in(&plan.pg, &frontier, &op, Direction::Dense);
+                    .edge_map_in(&plan.pg, &Frontier::all(n), &op, Direction::Dense);
+                // Read each partial and zero its slot: `apply_gather` sums into `acc` next.
                 for (v, slot) in acc.iter().enumerate() {
                     let partial = slot.load();
                     if partial != 0.0 {
+                        slot.store(0.0);
                         out[plan.master[v] as usize].push((v as u32, partial.to_bits()));
                     }
                 }
             }
             AlgoState::Bfs { levels, frontier } => {
                 if !frontier.is_empty() {
-                    let candidates = AtomicBitset::new(n);
-                    let op = BfsGather {
-                        levels,
-                        candidates: &candidates,
-                    };
-                    let f = Frontier::from_sorted_vertices(n, frontier.clone());
-                    plan.exec.edge_map_in(&plan.pg, &f, &op, Direction::Sparse);
-                    for v in bits_ascending(&candidates) {
+                    let f = Frontier::from_sorted_vertices(n, std::mem::take(frontier));
+                    let op = BfsGather { levels };
+                    let (reached, _) = plan.exec.edge_map_in(&plan.pg, &f, &op, Direction::Sparse);
+                    for_each_ascending(&reached, |v| {
                         out[plan.master[v as usize] as usize].push((v, 0));
-                    }
+                    });
                 }
-                frontier.clear();
             }
-            AlgoState::Cc { labels, frontier } => {
+            AlgoState::Cc {
+                labels,
+                next,
+                frontier,
+            } => {
                 if !frontier.is_empty() {
-                    let next: Vec<AtomicU32> = labels.iter().map(|&l| AtomicU32::new(l)).collect();
-                    let changed = AtomicBitset::new(n);
-                    let op = CcGather {
-                        labels,
-                        next: &next,
-                        changed: &changed,
-                    };
-                    let f = Frontier::from_sorted_vertices(n, frontier.clone());
-                    plan.exec.edge_map_in(&plan.pg, &f, &op, Direction::Sparse);
-                    for v in bits_ascending(&changed) {
-                        let cand = next[v as usize].load(Ordering::Relaxed);
-                        out[plan.master[v as usize] as usize].push((v, cand as u64));
-                    }
+                    let f = Frontier::from_sorted_vertices(n, std::mem::take(frontier));
+                    let op = CcGather { labels, next };
+                    let (lowered, _) = plan.exec.edge_map_in(&plan.pg, &f, &op, Direction::Sparse);
+                    for_each_ascending(&lowered, |v| {
+                        // Read the candidate, then restore `next == labels`.
+                        let cand =
+                            std::mem::replace(next[v as usize].get_mut(), labels[v as usize]);
+                        out[plan.master[v as usize] as usize].push((v, u64::from(cand)));
+                    });
                 }
-                frontier.clear();
             }
         }
         out
@@ -463,16 +480,21 @@ impl WorkerState {
         let me = plan.me;
         let active;
         match &mut self.state {
-            AlgoState::Pr { x } => {
-                let mut total = vec![0.0f64; plan.n];
+            AlgoState::Pr { x, acc, .. } => {
                 for batch in incoming {
                     for &(v, bits) in batch {
-                        total[v as usize] += f64::from_bits(bits);
+                        debug_assert_eq!(plan.master[v as usize], me);
+                        let a = &acc[v as usize];
+                        a.store(a.load() + f64::from_bits(bits));
                     }
                 }
                 let base = (1.0 - DAMPING) / plan.n.max(1) as f64;
                 for &v in &plan.owned {
-                    let nx = base + DAMPING * total[v as usize];
+                    // Gather pairs name owned vertices only, so zeroing
+                    // the owned sums leaves all of `acc` zero.
+                    let total = acc[v as usize].load();
+                    acc[v as usize].store(0.0);
+                    let nx = base + DAMPING * total;
                     x[v as usize] = nx;
                     push_to_replicas(&mut out, plan.replicas[v as usize], me, v, nx.to_bits());
                 }
@@ -502,7 +524,11 @@ impl WorkerState {
                 }
                 frontier.extend_from_slice(&newly);
             }
-            AlgoState::Cc { labels, frontier } => {
+            AlgoState::Cc {
+                labels,
+                next,
+                frontier,
+            } => {
                 let mut newly = Vec::new();
                 for batch in incoming {
                     for &(v, bits) in batch {
@@ -510,6 +536,7 @@ impl WorkerState {
                         let cand = bits as u32;
                         if cand < labels[v as usize] {
                             labels[v as usize] = cand;
+                            *next[v as usize].get_mut() = cand;
                             newly.push(v);
                         }
                     }
@@ -537,7 +564,7 @@ impl WorkerState {
     pub fn apply_scatter(&mut self, plan: &ClusterPlan, incoming: &[Vec<ValuePair>]) {
         assert_eq!(incoming.len(), plan.machines);
         match &mut self.state {
-            AlgoState::Pr { x } => {
+            AlgoState::Pr { x, .. } => {
                 for batch in incoming {
                     for &(v, bits) in batch {
                         x[v as usize] = f64::from_bits(bits);
@@ -554,10 +581,15 @@ impl WorkerState {
                 frontier.sort_unstable();
                 frontier.dedup();
             }
-            AlgoState::Cc { labels, frontier } => {
+            AlgoState::Cc {
+                labels,
+                next,
+                frontier,
+            } => {
                 for batch in incoming {
                     for &(v, bits) in batch {
                         labels[v as usize] = bits as u32;
+                        *next[v as usize].get_mut() = bits as u32;
                         frontier.push(v);
                     }
                 }
@@ -574,7 +606,7 @@ impl WorkerState {
             .iter()
             .map(|&v| {
                 let bits = match &self.state {
-                    AlgoState::Pr { x } => x[v as usize].to_bits(),
+                    AlgoState::Pr { x, .. } => x[v as usize].to_bits(),
                     AlgoState::Bfs { levels, .. } => u64::from(levels[v as usize]),
                     AlgoState::Cc { labels, .. } => u64::from(labels[v as usize]),
                 };
@@ -603,11 +635,14 @@ fn push_to_replicas(out: &mut Batches, mask: u64, me: u32, v: u32, bits: u64) {
     }
 }
 
-/// Set bit indices of an [`AtomicBitset`], ascending.
-fn bits_ascending(bits: &AtomicBitset) -> Vec<u32> {
-    (0..bits.len() as u32)
-        .filter(|&v| bits.get(v as usize))
-        .collect()
+/// Calls `visit` on every vertex of an edge map's output frontier, in
+/// ascending id order.
+fn for_each_ascending(f: &Frontier, visit: impl FnMut(VertexId)) {
+    let f = f.to_sparse();
+    let Frontier::Sparse { vertices, .. } = &*f else {
+        unreachable!("to_sparse returned a dense frontier")
+    };
+    vertices.iter().copied().for_each(visit);
 }
 
 /// Everything a finished cluster run reports.
@@ -639,29 +674,33 @@ pub fn run_local_on(plans: &[ClusterPlan], algo: ClusterAlgo) -> RunOutput {
     let mut values_sent = 0u64;
     loop {
         let t0 = std::time::Instant::now();
-        let gathers: Vec<Batches> = states
+        // Remote pairs each machine sent / received this superstep.
+        let mut sent = vec![0u64; w];
+        let mut received = vec![0u64; w];
+        let mut gathers: Vec<Batches> = states
             .iter_mut()
             .zip(plans)
             .map(|(s, p)| s.compute_gather(p))
             .collect();
+        count_remote(&gathers, &mut sent, &mut received);
         let mut total_active = 0u64;
         let mut scatters: Vec<Batches> = Vec::with_capacity(w);
         for (q, (state, plan)) in states.iter_mut().zip(plans).enumerate() {
-            let incoming: Vec<Vec<ValuePair>> = (0..w).map(|p| gathers[p][q].clone()).collect();
-            values_sent += count_remote(&gathers, q);
+            let incoming = take_column(&mut gathers, q);
             let (sc, active) = state.apply_gather(plan, step, &incoming);
             total_active += active;
             scatters.push(sc);
         }
+        count_remote(&scatters, &mut sent, &mut received);
         for (q, (state, plan)) in states.iter_mut().zip(plans).enumerate() {
-            let incoming: Vec<Vec<ValuePair>> = (0..w).map(|p| scatters[p][q].clone()).collect();
-            values_sent += count_remote(&scatters, q);
+            let incoming = take_column(&mut scatters, q);
             state.apply_scatter(plan, &incoming);
         }
         let nanos = t0.elapsed().as_nanos() as u64;
-        for plan in plans {
-            plan.metrics.record_superstep(0, 0, nanos);
+        for (plan, (&s, &r)) in plans.iter().zip(sent.iter().zip(&received)) {
+            plan.metrics.record_superstep(s, r, nanos);
         }
+        values_sent += sent.iter().sum::<u64>();
         step += 1;
         if !decide_continue(algo, step, total_active) {
             break;
@@ -682,13 +721,24 @@ pub fn run_local_on(plans: &[ClusterPlan], algo: ClusterAlgo) -> RunOutput {
     }
 }
 
-/// Pairs addressed to machine `q` from machines other than `q`.
-fn count_remote(all: &[Batches], q: usize) -> u64 {
-    all.iter()
-        .enumerate()
-        .filter(|&(p, _)| p != q)
-        .map(|(_, b)| b[q].len() as u64)
-        .sum()
+/// Adds each machine's remote traffic in `all` (`all[p][q]` = batch
+/// from `p` to `q`) to `sent[p]` and `received[q]`; loopback batches
+/// don't count.
+fn count_remote(all: &[Batches], sent: &mut [u64], received: &mut [u64]) {
+    for (p, batches) in all.iter().enumerate() {
+        for (q, batch) in batches.iter().enumerate() {
+            if p != q {
+                sent[p] += batch.len() as u64;
+                received[q] += batch.len() as u64;
+            }
+        }
+    }
+}
+
+/// Moves the batches addressed to machine `q` out of `all`, in sender
+/// order.
+fn take_column(all: &mut [Batches], q: usize) -> Vec<Vec<ValuePair>> {
+    all.iter_mut().map(|b| std::mem::take(&mut b[q])).collect()
 }
 
 /// Partitions `g` with `partitioner` for `machines` machines and runs
@@ -781,43 +831,33 @@ fn run_worker_algo(
         let t0 = std::time::Instant::now();
         let mut sent = 0u64;
         let mut received = 0u64;
-        let gathers = state.compute_gather(plan);
+        let mut gathers = state.compute_gather(plan);
         let mut incoming: Vec<Vec<ValuePair>> = vec![Vec::new(); w];
         for q in 0..w as u32 {
+            let pairs = std::mem::take(&mut gathers[q as usize]);
             if q == me {
+                incoming[me as usize] = pairs;
                 continue;
             }
-            sent += gathers[q as usize].len() as u64;
-            mesh.send_to(
-                q,
-                &Msg::Gather {
-                    step,
-                    pairs: gathers[q as usize].clone(),
-                },
-            )?;
+            sent += pairs.len() as u64;
+            mesh.send_to(q, &Msg::Gather { step, pairs })?;
         }
-        incoming[me as usize] = gathers[me as usize].clone();
         for (peer, pairs) in mesh.recv_phase(Phase::Gather, step)? {
             check_pairs(plan, Phase::Gather, peer, &pairs)?;
             received += pairs.len() as u64;
             incoming[peer as usize] = pairs;
         }
-        let (scatters, active) = state.apply_gather(plan, step, &incoming);
+        let (mut scatters, active) = state.apply_gather(plan, step, &incoming);
         let mut incoming: Vec<Vec<ValuePair>> = vec![Vec::new(); w];
         for q in 0..w as u32 {
+            let pairs = std::mem::take(&mut scatters[q as usize]);
             if q == me {
+                incoming[me as usize] = pairs;
                 continue;
             }
-            sent += scatters[q as usize].len() as u64;
-            mesh.send_to(
-                q,
-                &Msg::Scatter {
-                    step,
-                    pairs: scatters[q as usize].clone(),
-                },
-            )?;
+            sent += pairs.len() as u64;
+            mesh.send_to(q, &Msg::Scatter { step, pairs })?;
         }
-        incoming[me as usize] = scatters[me as usize].clone();
         for (peer, pairs) in mesh.recv_phase(Phase::Scatter, step)? {
             check_pairs(plan, Phase::Scatter, peer, &pairs)?;
             received += pairs.len() as u64;

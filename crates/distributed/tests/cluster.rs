@@ -127,10 +127,85 @@ fn superstep_metrics_are_recorded() {
         .collect();
     let out = vebo_distributed::runtime::run_local_on(&plans, ClusterAlgo::PageRank { iters: 4 });
     assert_eq!(out.supersteps, 4);
+    assert!(out.values_sent > 0, "a 2-way vertex cut has mirrors");
+    let mut sent = 0;
+    let mut received = 0;
     for plan in &plans {
         let m = plan.metrics().snapshot();
         assert_eq!(m.supersteps, 4);
         assert!(m.superstep_quantile(0.5).is_some());
+        sent += m.sync_values_sent;
+        received += m.sync_values_received;
+    }
+    assert_eq!(sent, out.values_sent);
+    assert_eq!(received, out.values_sent, "every pair sent is received");
+}
+
+/// The cluster PageRank computed by hand: each machine's shard is
+/// rebuilt from the placement exactly as `ClusterPlan::build` cuts it,
+/// each machine's partial sum walks that shard's in-lists (CSC) in list
+/// order, and the masters combine the partials in ascending machine
+/// order. Shares no code with `WorkerState`, so it pins the
+/// floating-point sum order the runtime must keep.
+fn reference_pagerank(
+    g: &Graph,
+    partitioner: Partitioner,
+    machines: usize,
+    iters: u32,
+) -> Vec<u64> {
+    let n = g.num_vertices();
+    let placement = partitioner.place(g, machines).unwrap();
+    let mut local: Vec<Vec<(u32, u32)>> = vec![Vec::new(); machines];
+    let mut idx = 0usize;
+    for u in g.vertices() {
+        for &v in g.out_neighbors(u) {
+            local[placement.machine_of_arc(idx) as usize].push((u, v));
+            idx += 1;
+        }
+    }
+    let shards: Vec<Graph> = local
+        .iter()
+        .map(|edges| Graph::from_edges(n, edges, true))
+        .collect();
+    let damping = 0.85;
+    let base = (1.0 - damping) / n as f64;
+    let mut x = vec![1.0 / n as f64; n];
+    for _ in 0..iters {
+        let contrib: Vec<f64> = (0..n)
+            .map(|u| match g.out_degree(u as u32) {
+                0 => 0.0,
+                d => x[u] / d as f64,
+            })
+            .collect();
+        let mut total = vec![0.0f64; n];
+        for shard in &shards {
+            for (v, t) in total.iter_mut().enumerate() {
+                let mut partial = 0.0f64;
+                for &u in shard.in_neighbors(v as u32) {
+                    partial += contrib[u as usize];
+                }
+                *t += partial;
+            }
+        }
+        for (xv, t) in x.iter_mut().zip(&total) {
+            *xv = base + damping * t;
+        }
+    }
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn pagerank_sum_order_matches_an_independent_reference() {
+    let g = Dataset::TwitterLike.build(0.02);
+    let iters = 4;
+    for partitioner in Partitioner::ALL {
+        for machines in [1usize, 2, 3] {
+            let want = reference_pagerank(&g, partitioner, machines, iters);
+            let got =
+                run_local(&g, partitioner, machines, ClusterAlgo::PageRank { iters }).unwrap();
+            let first_diff = got.values.iter().zip(&want).position(|(a, b)| a != b);
+            assert_eq!(first_diff, None, "{partitioner:?} w={machines}");
+        }
     }
 }
 

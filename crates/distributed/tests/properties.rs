@@ -1,16 +1,19 @@
 //! Property-based tests for the distributed partitioners and the BSP
 //! simulator — conservation laws and capacity bounds that must hold on
-//! arbitrary graphs — and for the cluster wire decoder, which must turn
-//! any byte string into a message or an error, never a panic.
+//! arbitrary graphs — for the cluster runtime's batch shapes, and for
+//! the cluster wire decoder, which must turn any byte string into a
+//! message or an error, never a panic.
 
 use proptest::prelude::*;
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use vebo_distributed::bsp::{superstep, ClusterConfig};
+use vebo_distributed::runtime::{decide_continue, master_of};
 use vebo_distributed::transport::ValuePair;
 use vebo_distributed::vertex_cut::random_edge_placement;
 use vebo_distributed::{
-    hash_partition, ClusterAlgo, DistributedError, Fennel, GreedyVertexCut, HybridCut, Ldg, Msg,
+    hash_partition, ClusterAlgo, ClusterPlan, DistributedError, Fennel, GreedyVertexCut, HybridCut,
+    Ldg, Msg, Partitioner, WorkerState,
 };
 use vebo_graph::{mix64, Graph, VertexId};
 use vebo_partition::{Multilevel, VertexAssignment};
@@ -101,6 +104,75 @@ proptest! {
         prop_assert!((total - expected).abs() < 1e-6);
         prop_assert_eq!(step.sent.iter().sum::<u64>(), step.received.iter().sum::<u64>());
         prop_assert_eq!(step.messages(), a.quality(&g).comm_volume);
+    }
+
+    /// The cluster runtime's batch shapes, at every superstep of every
+    /// algorithm: each `compute_gather` batch lists vertices strictly
+    /// ascending, all mastered by the machine it is addressed to, and
+    /// each `apply_gather` scatter batch is strictly ascending too.
+    #[test]
+    fn cluster_batches_are_ascending_and_master_addressed(
+        g in arb_graph(),
+        machines in 1usize..5,
+        which in 0usize..3,
+        source in any::<u32>(),
+    ) {
+        let n = g.num_vertices();
+        let partitioner = Partitioner::ALL[which];
+        let placement = partitioner.place(&g, machines).unwrap();
+        let plans: Vec<ClusterPlan> = (0..machines as u32)
+            .map(|me| ClusterPlan::build(&g, &placement, me))
+            .collect();
+        let master: Vec<u32> = (0..n as VertexId)
+            .map(|v| master_of(placement.replicas_of(v), v, machines))
+            .collect();
+        let ascending = |b: &[ValuePair]| b.windows(2).all(|w| w[0].0 < w[1].0);
+        for algo in [
+            ClusterAlgo::PageRank { iters: 3 },
+            ClusterAlgo::Bfs { source: source % n as u32 },
+            ClusterAlgo::Cc,
+        ] {
+            let mut states: Vec<WorkerState> =
+                plans.iter().map(|p| WorkerState::new(p, algo)).collect();
+            let mut step = 0u32;
+            loop {
+                let gathers: Vec<Vec<Vec<ValuePair>>> = states
+                    .iter_mut()
+                    .zip(&plans)
+                    .map(|(s, p)| s.compute_gather(p))
+                    .collect();
+                for (p, batches) in gathers.iter().enumerate() {
+                    prop_assert_eq!(batches.len(), machines);
+                    for (q, batch) in batches.iter().enumerate() {
+                        prop_assert!(ascending(batch), "{:?} step {} gather {}->{}", algo, step, p, q);
+                        for &(v, _) in batch {
+                            prop_assert_eq!(master[v as usize] as usize, q, "{:?} vertex {}", algo, v);
+                        }
+                    }
+                }
+                let mut total_active = 0;
+                let mut scatters = Vec::with_capacity(machines);
+                for (q, (state, plan)) in states.iter_mut().zip(&plans).enumerate() {
+                    let incoming: Vec<Vec<ValuePair>> =
+                        gathers.iter().map(|b| b[q].clone()).collect();
+                    let (batches, active) = state.apply_gather(plan, step, &incoming);
+                    for (r, batch) in batches.iter().enumerate() {
+                        prop_assert!(ascending(batch), "{:?} step {} scatter {}->{}", algo, step, q, r);
+                    }
+                    total_active += active;
+                    scatters.push(batches);
+                }
+                for (q, (state, plan)) in states.iter_mut().zip(&plans).enumerate() {
+                    let incoming: Vec<Vec<ValuePair>> =
+                        scatters.iter().map(|b: &Vec<Vec<ValuePair>>| b[q].clone()).collect();
+                    state.apply_scatter(plan, &incoming);
+                }
+                step += 1;
+                if !decide_continue(algo, step, total_active) {
+                    break;
+                }
+            }
+        }
     }
 
     /// Edge placements, for every strategy: each arc lands on exactly one
