@@ -71,16 +71,6 @@ impl BalanceReport {
         }
     }
 
-    /// Sample standard deviation of the edge counts.
-    pub fn edge_std_dev(&self) -> f64 {
-        std_dev(self.edge_counts.iter().map(|&e| e as f64))
-    }
-
-    /// Sample standard deviation of the vertex counts.
-    pub fn vertex_std_dev(&self) -> f64 {
-        std_dev(self.vertex_counts.iter().map(|&u| u as f64))
-    }
-
     /// `true` when both optimality criteria of §III-A hold.
     pub fn is_optimal(&self) -> bool {
         self.edge_imbalance <= 1 && self.vertex_imbalance <= 1

@@ -24,8 +24,8 @@
 use crate::heap::{LinearArgMin, MinLoadHeap};
 use rayon::prelude::*;
 use vebo_graph::degree::vertices_by_decreasing_in_degree;
-use vebo_graph::par::{weighted_ranges, SharedSlice};
-use vebo_graph::{Graph, ParMode, Permutation, VertexId, VertexOrdering};
+use vebo_graph::par::{self, weighted_ranges, SharedSlice};
+use vebo_graph::{Graph, Permutation, VertexId, VertexOrdering};
 
 /// Which variant of Algorithm 2 to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -57,7 +57,6 @@ pub struct Vebo {
     num_partitions: usize,
     variant: VeboVariant,
     argmin: ArgMinStrategy,
-    mode: ParMode,
 }
 
 impl Vebo {
@@ -67,7 +66,6 @@ impl Vebo {
             num_partitions,
             variant: VeboVariant::default(),
             argmin: ArgMinStrategy::default(),
-            mode: ParMode::default(),
         }
     }
 
@@ -83,31 +81,25 @@ impl Vebo {
         self
     }
 
-    /// Selects how the O(n) scatter stages execute — the blocked
-    /// variant's segment scatter and the strict variant's phase-3
-    /// sequence-number scatter (the heap placement itself is inherently
-    /// sequential).
-    pub fn with_mode(mut self, mode: ParMode) -> Vebo {
-        self.mode = mode;
-        self
-    }
-
     /// Number of partitions `P`.
     pub fn num_partitions(&self) -> usize {
         self.num_partitions
     }
 
     /// Runs all three phases and returns the full result (permutation plus
-    /// per-partition counts and boundaries).
+    /// per-partition counts and boundaries). The O(n) stages around the
+    /// inherently sequential heap placement run in chunks; the result is
+    /// the same for every chunk count.
     pub fn compute_full(&self, g: &Graph) -> VeboResult {
         assert!(self.num_partitions >= 1, "need at least one partition");
-        let order = vertices_by_decreasing_in_degree(g);
-        let num_nonzero = order.iter().take_while(|&&v| g.in_degree(v) > 0).count();
-
-        match self.variant {
-            VeboVariant::Strict => self.compute_strict(g, &order, num_nonzero),
-            VeboVariant::Blocked => self.compute_blocked(g, &order, num_nonzero),
-        }
+        par::stage(g.num_vertices(), || {
+            let order = vertices_by_decreasing_in_degree(g);
+            let num_nonzero = order.iter().take_while(|&&v| g.in_degree(v) > 0).count();
+            match self.variant {
+                VeboVariant::Strict => self.compute_strict(g, &order, num_nonzero),
+                VeboVariant::Blocked => self.compute_blocked(g, &order, num_nonzero),
+            }
+        })
     }
 
     /// The literal Algorithm 2: per-vertex placement, then the phase-3
@@ -133,11 +125,7 @@ impl Vebo {
         // degree, ascending original id within a degree class) — this is
         // what makes the inner edge-loop branch predictable (§V-E).
         let starts = prefix_starts(&vertex_counts, n);
-        let new_ids = if self.mode.go_parallel(n) {
-            strict_scatter_parallel(order, &assignment, &starts, p)
-        } else {
-            strict_scatter_sequential(order, &assignment, &starts, p)
-        };
+        let new_ids = strict_scatter(order, &assignment, &starts, p);
 
         let permutation = Permutation::from_new_ids(new_ids).expect("VEBO produces a bijection");
         VeboResult {
@@ -154,8 +142,8 @@ impl Vebo {
     /// loop is the inherently sequential `O(n log P)` core. Everything
     /// else — per-partition totals, the `a[v]` assignment scatter, and the
     /// phase-3 sequence numbers — is derived from the resulting
-    /// [`Segment`] list with prefix sums and executed in parallel over
-    /// segment chunks balanced by vertex count.
+    /// [`Segment`] list with prefix sums and executed over segment chunks
+    /// balanced by vertex count.
     fn compute_blocked(&self, g: &Graph, order: &[VertexId], num_nonzero: usize) -> VeboResult {
         let p = self.num_partitions;
         let n = g.num_vertices();
@@ -187,13 +175,13 @@ impl Vebo {
         // vertices, so all writes are disjoint.
         let mut assignment = vec![0u32; n];
         let mut new_ids = vec![0 as VertexId; n];
-        if self.mode.go_parallel(n) && !segments.is_empty() {
-            let mut cum = Vec::with_capacity(segments.len() + 1);
-            cum.push(0usize);
-            for s in &segments {
-                cum.push(cum.last().unwrap() + s.len);
-            }
-            let ranges = weighted_ranges(&cum, rayon::current_num_threads());
+        let mut cum = Vec::with_capacity(segments.len() + 1);
+        cum.push(0usize);
+        for s in &segments {
+            cum.push(cum.last().unwrap() + s.len);
+        }
+        let ranges = weighted_ranges(&cum, rayon::current_num_threads());
+        {
             let ashared = SharedSlice::new(&mut assignment);
             let nshared = SharedSlice::new(&mut new_ids);
             let (ranges, segments, seg_new_start) = (&ranges, &segments, &seg_new_start);
@@ -210,14 +198,6 @@ impl Vebo {
                     }
                 }
             });
-        } else {
-            for (si, s) in segments.iter().enumerate() {
-                for i in 0..s.len {
-                    let v = order[s.start + i] as usize;
-                    assignment[v] = s.partition;
-                    new_ids[v] = (seg_new_start[si] + i) as VertexId;
-                }
-            }
         }
 
         let permutation = Permutation::from_new_ids(new_ids).expect("VEBO produces a bijection");
@@ -342,31 +322,14 @@ struct Segment {
     degree: u64,
 }
 
-/// The reference phase-3 cursor walk of the literal Algorithm 2: one
-/// running cursor per partition, vertices visited in placement order.
-fn strict_scatter_sequential(
-    order: &[VertexId],
-    assignment: &[u32],
-    starts: &[usize],
-    p: usize,
-) -> Vec<VertexId> {
-    let mut cursor: Vec<usize> = starts[..p].to_vec();
-    let mut new_ids = vec![0 as VertexId; assignment.len()];
-    for &v in order {
-        let q = assignment[v as usize] as usize;
-        new_ids[v as usize] = cursor[q] as VertexId;
-        cursor[q] += 1;
-    }
-    new_ids
-}
-
-/// Parallel phase-3 scatter for the strict variant, bit-identical to the
-/// cursor walk: `new_id[v] = starts[a[v]] + |{ j < i : a[order[j]] = a[v] }|`
+/// Phase-3 scatter for the strict variant, equal to the literal cursor
+/// walk (one running cursor per partition, vertices visited in placement
+/// order): `new_id[v] = starts[a[v]] + |{ j < i : a[order[j]] = a[v] }|`
 /// where `i` is `v`'s position in `order`. Computed as a chunked counting
 /// pass (per-chunk per-partition histograms), an exclusive prefix over
-/// chunks, then a parallel scatter with chunk-local cursors — the same
-/// two-pass shape as the parallel counting-sort CSR build.
-fn strict_scatter_parallel(
+/// chunks, then a scatter with chunk-local cursors — the same two-pass
+/// shape as the counting-sort CSR build.
+fn strict_scatter(
     order: &[VertexId],
     assignment: &[u32],
     starts: &[usize],
@@ -690,47 +653,59 @@ mod tests {
         assert_eq!(blocked.edge_counts, strict.edge_counts);
     }
 
+    /// Runs `f` with `threads` rayon threads.
+    fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
     #[test]
     fn strict_parallel_scatter_matches_sequential() {
-        // The strict phase-3 scatter must be bit-identical across modes,
-        // including skewed graphs and partition counts that do not divide
-        // the vertex count.
+        // The strict phase-3 scatter must not depend on the thread count,
+        // on skewed graphs and on partition counts that do not divide the
+        // vertex count. Both graphs are past the one-chunk threshold.
         for d in [Dataset::TwitterLike, Dataset::UsaRoadLike] {
-            let g = d.build(0.1);
+            let g = d.build(1.2);
+            assert!(g.num_vertices() >= par::AUTO_PAR_THRESHOLD);
             for p in [1usize, 2, 7, 48, 384] {
-                let seq = Vebo::new(p)
-                    .with_variant(VeboVariant::Strict)
-                    .with_mode(vebo_graph::ParMode::Sequential)
-                    .compute_full(&g);
-                let par = Vebo::new(p)
-                    .with_variant(VeboVariant::Strict)
-                    .with_mode(vebo_graph::ParMode::Parallel)
-                    .compute_full(&g);
+                let strict = || {
+                    Vebo::new(p)
+                        .with_variant(VeboVariant::Strict)
+                        .compute_full(&g)
+                };
+                let one = in_pool(1, strict);
+                let four = in_pool(4, strict);
                 assert_eq!(
-                    seq.permutation.as_slice(),
-                    par.permutation.as_slice(),
+                    one.permutation.as_slice(),
+                    four.permutation.as_slice(),
                     "{} P={p}",
                     d.name()
                 );
-                assert_eq!(seq.assignment, par.assignment);
-                assert_eq!(seq.starts, par.starts);
+                assert_eq!(one.assignment, four.assignment);
+                assert_eq!(one.starts, four.starts);
             }
         }
     }
 
     #[test]
     fn strict_parallel_scatter_handles_tiny_graphs() {
+        // Called directly, the scatter splits even six vertices into more
+        // chunks than vertices; every chunk count gives the paper's answer.
         let g = fig3_graph();
-        let seq = Vebo::new(2)
+        let r = Vebo::new(2)
             .with_variant(VeboVariant::Strict)
-            .with_mode(vebo_graph::ParMode::Sequential)
             .compute_full(&g);
-        let par = Vebo::new(2)
-            .with_variant(VeboVariant::Strict)
-            .with_mode(vebo_graph::ParMode::Parallel)
-            .compute_full(&g);
-        assert_eq!(seq.permutation.as_slice(), par.permutation.as_slice());
-        assert_eq!(par.permutation.as_slice(), &[2, 4, 1, 5, 0, 3]);
+        assert_eq!(r.permutation.as_slice(), &[2, 4, 1, 5, 0, 3]);
+        let order = vertices_by_decreasing_in_degree(&g);
+        for threads in [1, 2, 4] {
+            let new_ids = in_pool(threads, || {
+                strict_scatter(&order, &r.assignment, &r.starts, 2)
+            });
+            assert_eq!(new_ids, r.permutation.as_slice(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! [`mmap_binary_graph`](crate::io::binary::mmap_binary_graph) borrow the
 //! mapped file zero-copy. All accessors return plain slices either way, so
 //! consumers never branch on the backing.
+//!
+//! The builder and the transpose are one counting sort each, chunked by
+//! edge range; the chunk count ([`crate::par::stage`]) never changes the
+//! arrays they produce.
 
 use crate::compress::{CompressedCsr, CompressionStats};
-use crate::par::{weighted_ranges, ParMode, SharedSlice};
+use crate::par::{self, weighted_ranges, SharedSlice};
 use crate::storage::{GraphStorage, StorageKind};
 use crate::types::{GraphError, VertexId};
 use rayon::prelude::*;
@@ -65,72 +69,25 @@ impl Adjacency {
         pairs: &[(VertexId, VertexId)],
         weights: Option<&[f32]>,
     ) -> Self {
-        Self::from_pairs_with(num_vertices, pairs, weights, ParMode::default())
-    }
-
-    /// As [`Adjacency::from_pairs_weighted`] with an explicit execution
-    /// mode. The parallel and sequential paths produce bit-identical
-    /// structures: the scatter is stable (input order within each vertex)
-    /// and the per-vertex sorts run the same algorithm on the same data.
-    pub fn from_pairs_with(
-        num_vertices: usize,
-        pairs: &[(VertexId, VertexId)],
-        weights: Option<&[f32]>,
-        mode: ParMode,
-    ) -> Self {
         if let Some(w) = weights {
             assert_eq!(w.len(), pairs.len(), "one weight per edge required");
         }
-        if mode.go_parallel(pairs.len()) {
-            Self::build_parallel(num_vertices, pairs, weights)
-        } else {
-            Self::build_sequential(num_vertices, pairs, weights)
-        }
+        par::stage(pairs.len(), || Self::build(num_vertices, pairs, weights))
     }
 
-    /// The sequential counting-sort reference path.
-    fn build_sequential(
-        num_vertices: usize,
-        pairs: &[(VertexId, VertexId)],
-        weights: Option<&[f32]>,
-    ) -> Self {
-        let mut offsets = vec![0usize; num_vertices + 1];
-        for &(v, _) in pairs {
-            offsets[v as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as VertexId; pairs.len()];
-        let mut out_weights = weights.map(|_| vec![0f32; pairs.len()]);
-        for (e, &(v, t)) in pairs.iter().enumerate() {
-            let slot = cursor[v as usize];
-            targets[slot] = t;
-            if let (Some(ow), Some(w)) = (out_weights.as_mut(), weights) {
-                ow[slot] = w[e];
-            }
-            cursor[v as usize] += 1;
-        }
-        sort_lists(&offsets, &mut targets, out_weights.as_deref_mut());
-        Adjacency::from_owned(offsets, targets, out_weights)
-    }
-
-    /// Parallel counting sort over *edge-range chunks*: each thread scans
-    /// only its `m / threads` slice of the pair list, once to build a
-    /// local histogram and once to scatter, so total work stays `O(n + m)`
-    /// regardless of thread count. The histograms are converted in place
-    /// into per-chunk scatter bases by one `O(chunks * n)` prefix pass;
-    /// chunk `c`'s base for vertex `v` accounts for all of `v`'s pairs in
-    /// chunks `< c`, which keeps the scatter stable (global input order
-    /// within each vertex) and every write slot disjoint. Memory overhead
-    /// is the `chunks * n` base table — on the paper's graphs (edge factor
-    /// >= 10) that is a fraction of the edge arrays themselves.
-    fn build_parallel(
-        num_vertices: usize,
-        pairs: &[(VertexId, VertexId)],
-        weights: Option<&[f32]>,
-    ) -> Self {
+    /// Counting sort over *edge-range chunks*, one per rayon thread: each
+    /// chunk scans only its `m / chunks` slice of the pair list, once to
+    /// build a local histogram and once to scatter, so total work stays
+    /// `O(n + m)` regardless of the chunk count. The histograms are
+    /// converted in place into per-chunk scatter bases by one
+    /// `O(chunks * n)` prefix pass; chunk `c`'s base for vertex `v`
+    /// accounts for all of `v`'s pairs in chunks `< c`, which keeps the
+    /// scatter stable (global input order within each vertex) and every
+    /// write slot disjoint, so the output is the same for every chunk
+    /// count. Memory overhead is the `chunks * n` base table — on the
+    /// paper's graphs (edge factor >= 10) that is a fraction of the edge
+    /// arrays themselves.
+    fn build(num_vertices: usize, pairs: &[(VertexId, VertexId)], weights: Option<&[f32]>) -> Self {
         let n = num_vertices;
         let m = pairs.len();
         let chunks = rayon::current_num_threads().clamp(1, m.max(1));
@@ -151,19 +108,8 @@ impl Adjacency {
 
         // Phase 2: one prefix pass turns histograms into offsets and
         // per-chunk scatter bases in place.
-        let mut offsets = vec![0usize; n + 1];
-        let mut acc = 0usize;
-        for v in 0..n {
-            offsets[v] = acc;
-            for c in 0..chunks {
-                let cell = &mut bases[c * n + v];
-                let count = *cell;
-                *cell = acc;
-                acc += count;
-            }
-        }
-        offsets[n] = acc;
-        debug_assert_eq!(acc, m);
+        let offsets = prefix_bases(&mut bases, n, chunks);
+        debug_assert_eq!(offsets[n], m);
 
         // Phase 3: stable scatter, each thread re-scanning only its chunk.
         let mut targets = vec![0 as VertexId; m];
@@ -193,7 +139,7 @@ impl Adjacency {
                     }
                 });
         }
-        sort_lists_parallel(&offsets, &mut targets, out_weights.as_deref_mut());
+        sort_each_list(&offsets, &mut targets, out_weights.as_deref_mut());
         Adjacency::from_owned(offsets, targets, out_weights)
     }
 
@@ -403,60 +349,20 @@ impl Adjacency {
 
     /// Returns the transposed adjacency (in-edges become out-edges), again
     /// via counting sort in `O(n + m)`.
-    pub fn transpose(&self) -> Adjacency {
-        self.transpose_with(ParMode::default())
-    }
-
-    /// As [`Adjacency::transpose`] with an explicit execution mode; both
-    /// paths produce bit-identical structures.
-    pub fn transpose_with(&self, mode: ParMode) -> Adjacency {
-        if mode.go_parallel(self.num_edges()) {
-            self.transpose_parallel()
-        } else {
-            self.transpose_sequential()
-        }
-    }
-
-    fn transpose_sequential(&self) -> Adjacency {
-        let n = self.num_vertices();
-        let mut offsets = vec![0usize; n + 1];
-        for &t in self.targets.iter() {
-            offsets[t as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as VertexId; self.targets.len()];
-        let mut weights = self
-            .weights
-            .as_ref()
-            .map(|_| vec![0f32; self.targets.len()]);
-        for v in 0..n as VertexId {
-            let base = self.offsets[v as usize];
-            for (k, &t) in self.neighbors(v).iter().enumerate() {
-                let slot = cursor[t as usize];
-                targets[slot] = v;
-                if let (Some(wo), Some(wi)) = (weights.as_mut(), self.weights.as_ref()) {
-                    wo[slot] = wi[base + k];
-                }
-                cursor[t as usize] += 1;
-            }
-        }
-        // Sources are visited in ascending order, so each transposed
-        // neighbor list is already sorted: no extra sort needed.
-        Adjacency::from_owned(offsets, targets, weights)
-    }
-
-    /// Parallel transpose with the same edge-chunked structure as the
-    /// parallel builder (`O(n + m)` total work; see
-    /// [`Adjacency::build_parallel`]). Chunks cover contiguous ranges of
-    /// the flat CSR edge array, so each chunk's arcs are in ascending
+    ///
+    /// The edge-chunked structure is the builder's. Chunks cover
+    /// contiguous ranges of the flat CSR edge array, so each chunk's arcs are in ascending
     /// source order and the stable scatter leaves every transposed list
-    /// sorted by source, exactly like the sequential path.
-    fn transpose_parallel(&self) -> Adjacency {
+    /// sorted by source, for every chunk count.
+    pub fn transpose(&self) -> Adjacency {
+        par::stage(self.num_edges(), || self.transpose_chunked())
+    }
+
+    fn transpose_chunked(&self) -> Adjacency {
         let n = self.num_vertices();
         let m = self.num_edges();
+        let (src_offsets, src_targets) = (self.offsets(), self.targets());
+        let src_weights = self.raw_weights();
         let chunks = rayon::current_num_threads().clamp(1, m.max(1));
         let per = m.div_ceil(chunks);
         let chunk_range = |c: usize| ((c * per).min(m))..((c + 1) * per).min(m);
@@ -467,30 +373,19 @@ impl Adjacency {
             .par_chunks_mut(n.max(1))
             .enumerate()
             .for_each(|(c, window)| {
-                for &t in &self.targets[chunk_range(c)] {
+                for &t in &src_targets[chunk_range(c)] {
                     window[t as usize] += 1;
                 }
             });
 
         // Phase 2: histograms -> offsets + per-chunk bases, in place.
-        let mut offsets = vec![0usize; n + 1];
-        let mut acc = 0usize;
-        for v in 0..n {
-            offsets[v] = acc;
-            for c in 0..chunks {
-                let cell = &mut bases[c * n + v];
-                let count = *cell;
-                *cell = acc;
-                acc += count;
-            }
-        }
-        offsets[n] = acc;
-        debug_assert_eq!(acc, m);
+        let offsets = prefix_bases(&mut bases, n, chunks);
+        debug_assert_eq!(offsets[n], m);
 
-        // Phase 3: stable scatter; each chunk walks its edge range,
-        // tracking the source vertex via the CSR offsets.
+        // Phase 3: stable scatter; each chunk walks its edge range one
+        // source's slice at a time.
         let mut targets = vec![0 as VertexId; m];
-        let mut weights = self.weights.as_ref().map(|_| vec![0f32; m]);
+        let mut weights = src_weights.map(|_| vec![0f32; m]);
         {
             let tshared = SharedSlice::new(&mut targets);
             let wshared = weights.as_mut().map(|w| SharedSlice::new(w.as_mut_slice()));
@@ -504,22 +399,26 @@ impl Adjacency {
                     }
                     // First source whose edge range contains this chunk's
                     // first edge.
-                    let mut v = self.offsets.partition_point(|&o| o <= range.start) - 1;
-                    for e in range {
-                        while e >= self.offsets[v + 1] {
-                            v += 1;
+                    let mut v = src_offsets.partition_point(|&o| o <= range.start) - 1;
+                    let mut e = range.start;
+                    while e < range.end {
+                        let end = src_offsets[v + 1].min(range.end);
+                        for (k, &t) in src_targets[e..end].iter().enumerate() {
+                            let t = t as usize;
+                            let slot = window[t];
+                            window[t] = slot + 1;
+                            // SAFETY: chunk `c`'s slots for destination `t`
+                            // occupy [bases[c][t], bases[c][t] + count_c(t)),
+                            // disjoint across chunks and destinations by
+                            // construction.
+                            unsafe { tshared.write(slot, v as VertexId) };
+                            if let (Some(ws), Some(wi)) = (&wshared, src_weights) {
+                                // SAFETY: same disjoint slot.
+                                unsafe { ws.write(slot, wi[e + k]) };
+                            }
                         }
-                        let t = self.targets[e] as usize;
-                        let slot = window[t];
-                        window[t] = slot + 1;
-                        // SAFETY: chunk `c`'s slots for destination `t` occupy
-                        // [bases[c][t], bases[c][t] + count_c(t)), disjoint
-                        // across chunks and destinations by construction.
-                        unsafe { tshared.write(slot, v as VertexId) };
-                        if let (Some(ws), Some(wi)) = (&wshared, self.weights.as_ref()) {
-                            // SAFETY: same disjoint slot.
-                            unsafe { ws.write(slot, wi[e]) };
-                        }
+                        e = end;
+                        v += 1;
                     }
                 });
         }
@@ -546,31 +445,32 @@ impl Adjacency {
     }
 }
 
-/// Sorts every neighbor list ascending, in place, keeping an optional
-/// weight array parallel. Runs on the owned arrays before they are
-/// wrapped into their [`GraphStorage`] backing.
-fn sort_lists(offsets: &[usize], targets: &mut [VertexId], weights: Option<&mut [f32]>) {
-    let n = offsets.len() - 1;
-    match weights {
-        None => {
-            for v in 0..n {
-                targets[offsets[v]..offsets[v + 1]].sort_unstable();
-            }
-        }
-        Some(w) => {
-            let mut scratch = Vec::new();
-            for v in 0..n {
-                let range = offsets[v]..offsets[v + 1];
-                sort_weighted_list(&mut targets[range.clone()], &mut w[range], &mut scratch);
-            }
+/// Turns the `chunks` per-chunk histograms in `bases` (row `c` is chunk
+/// `c`'s count per index, `n` wide) into per-chunk scatter bases, in
+/// place, and returns the CSR offsets: index `v`'s slots start at
+/// `offsets[v]`, and chunk `c`'s share of them after every earlier
+/// chunk's.
+fn prefix_bases(bases: &mut [usize], n: usize, chunks: usize) -> Vec<usize> {
+    let mut offsets = vec![0usize; n + 1];
+    let mut acc = 0usize;
+    for v in 0..n {
+        offsets[v] = acc;
+        for c in 0..chunks {
+            let cell = &mut bases[c * n + v];
+            let count = *cell;
+            *cell = acc;
+            acc += count;
         }
     }
+    offsets[n] = acc;
+    offsets
 }
 
-/// Per-vertex list sort over edge-balanced vertex ranges. Each list is
-/// touched by exactly one thread, and the sort is the same algorithm
-/// as the sequential path, so results are identical.
-fn sort_lists_parallel(offsets: &[usize], targets: &mut [VertexId], weights: Option<&mut [f32]>) {
+/// Sorts every neighbor list ascending, in place, keeping an optional
+/// weight array parallel, over edge-balanced vertex ranges. Each list is
+/// touched by exactly one thread, so the result does not depend on the
+/// range count.
+fn sort_each_list(offsets: &[usize], targets: &mut [VertexId], weights: Option<&mut [f32]>) {
     let ranges = weighted_ranges(offsets, rayon::current_num_threads());
     match weights {
         None => {
@@ -770,6 +670,27 @@ mod tests {
         assert_eq!(decoded, c.targets());
         let stats = c.compression_stats().unwrap();
         assert_eq!(stats.raw_bytes, c.num_edges() * 4);
+    }
+
+    #[test]
+    fn chunked_bodies_handle_more_chunks_than_edges() {
+        // Called directly, the chunked bodies split even a few edges four
+        // ways; empty trailing chunks must clamp to `m`.
+        let four = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        for m in 0..12usize {
+            let pairs: Vec<(VertexId, VertexId)> = (0..m)
+                .map(|e| ((e % 3) as VertexId, ((e + 1) % 3) as VertexId))
+                .collect();
+            let weights: Vec<f32> = (0..m).map(|e| e as f32).collect();
+            let one = Adjacency::from_pairs_weighted(3, &pairs, Some(&weights));
+            let chunked = four.install(|| Adjacency::build(3, &pairs, Some(&weights)));
+            assert_eq!(one, chunked, "build m={m}");
+            let t = four.install(|| one.transpose_chunked());
+            assert_eq!(one.transpose(), t, "transpose m={m}");
+        }
     }
 
     #[test]

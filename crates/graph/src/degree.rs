@@ -1,7 +1,7 @@
 //! Degree statistics and the Table I graph characterization.
 
 use crate::graph::Graph;
-use crate::par::{ParMode, SharedSlice};
+use crate::par::{self, SharedSlice};
 use crate::types::VertexId;
 use rayon::prelude::*;
 
@@ -61,35 +61,42 @@ pub fn in_degrees(g: &Graph) -> Vec<u32> {
     g.vertices().map(|v| g.in_degree(v) as u32).collect()
 }
 
-/// Out-degrees of every vertex as a dense array.
-pub fn out_degrees(g: &Graph) -> Vec<u32> {
-    g.vertices().map(|v| g.out_degree(v) as u32).collect()
-}
-
 /// Histogram of in-degrees: `hist[d]` = number of vertices with in-degree
 /// `d`. Length is `max_in_degree + 1` (or 1 for an edgeless graph).
-/// Parallelizes on large graphs; see [`in_degree_histogram_with`].
+/// Built from per-chunk histograms over vertex ranges, merged per degree.
 pub fn in_degree_histogram(g: &Graph) -> Vec<usize> {
-    in_degree_histogram_with(g, ParMode::default())
+    par::stage(g.num_vertices(), || {
+        let (locals, _) = local_histograms(g);
+        (0..locals[0].len())
+            .into_par_iter()
+            .map(|d| locals.iter().map(|l| l[d]).sum::<usize>())
+            .collect()
+    })
 }
 
 /// Splits `0..n` into one contiguous vertex range per rayon thread,
 /// capping the chunk count so the per-chunk histogram scratch
 /// (`chunks * buckets` words) stays within a small multiple of `n` even
 /// when one hub vertex drives `buckets` toward `n` — the power-law
-/// regime this crate targets. Returns `(chunks, per)`; `chunks == 1`
-/// means the parallel scratch would not pay for itself.
+/// regime this crate targets. Returns `(chunks, per)`.
 fn vertex_chunks(n: usize, buckets: usize) -> (usize, usize) {
     let budget = (4 * n.max(1)).div_ceil(buckets.max(1)).max(1);
     let chunks = rayon::current_num_threads().min(budget).clamp(1, n.max(1));
     (chunks, n.div_ceil(chunks))
 }
 
-/// Per-chunk in-degree histograms: chunk `c` counts vertices
-/// `[c * per, (c + 1) * per)`. The building block of both parallel paths.
-fn local_histograms(g: &Graph, buckets: usize, chunks: usize, per: usize) -> Vec<Vec<usize>> {
+/// Per-chunk in-degree histograms, each `max_in_degree + 1` long: chunk
+/// `c` counts vertices `[c * per, (c + 1) * per)`. Returns the (never
+/// empty) histograms and `per`.
+fn local_histograms(g: &Graph) -> (Vec<Vec<usize>>, usize) {
     let n = g.num_vertices();
-    (0..chunks)
+    let max_in = (0..n as VertexId)
+        .into_par_iter()
+        .map(|v| g.in_degree(v))
+        .reduce(|| 0, usize::max);
+    let buckets = max_in + 1;
+    let (chunks, per) = vertex_chunks(n, buckets);
+    let locals = (0..chunks)
         .into_par_iter()
         .map(|c| {
             let mut h = vec![0usize; buckets];
@@ -98,113 +105,60 @@ fn local_histograms(g: &Graph, buckets: usize, chunks: usize, per: usize) -> Vec
             }
             h
         })
-        .collect()
-}
-
-/// As [`in_degree_histogram`] with an explicit execution mode. The
-/// parallel path builds per-chunk histograms over vertex ranges and merges
-/// them per degree; both paths produce identical histograms.
-pub fn in_degree_histogram_with(g: &Graph, mode: ParMode) -> Vec<usize> {
-    let n = g.num_vertices();
-    if !mode.go_parallel(n) {
-        let max_in = g.vertices().map(|v| g.in_degree(v)).max().unwrap_or(0);
-        let mut hist = vec![0usize; max_in + 1];
-        for v in g.vertices() {
-            hist[g.in_degree(v)] += 1;
-        }
-        return hist;
-    }
-    let max_in = (0..n as VertexId)
-        .into_par_iter()
-        .map(|v| g.in_degree(v))
-        .reduce(|| 0, usize::max);
-    let buckets = max_in + 1;
-    let (chunks, per) = vertex_chunks(n, buckets);
-    let locals = local_histograms(g, buckets, chunks, per);
-    (0..buckets)
-        .into_par_iter()
-        .map(|d| locals.iter().map(|l| l[d]).sum::<usize>())
-        .collect()
+        .collect();
+    (locals, per)
 }
 
 /// Vertices sorted by decreasing in-degree — the placement order of VEBO's
 /// phase 1. Implemented as a counting sort over the degree histogram, which
 /// is the `O(|V|)` "radix-like" sort the paper's complexity analysis (§III-E)
 /// relies on. Ties are broken by ascending vertex id for determinism.
-/// Parallelizes on large graphs; see [`vertices_by_decreasing_in_degree_with`].
+///
+/// The sort mirrors the CSR builder: per-chunk histograms become per-chunk
+/// scatter bases via a prefix pass, so every vertex lands in the same slot
+/// for every chunk count.
 pub fn vertices_by_decreasing_in_degree(g: &Graph) -> Vec<VertexId> {
-    vertices_by_decreasing_in_degree_with(g, ParMode::default())
-}
-
-/// As [`vertices_by_decreasing_in_degree`] with an explicit execution
-/// mode. The parallel path mirrors the CSR builder: per-chunk histograms
-/// become per-chunk scatter bases via a prefix pass, so every vertex lands
-/// in exactly the slot the sequential counting sort would pick —
-/// the two paths are bit-identical (property-tested).
-pub fn vertices_by_decreasing_in_degree_with(g: &Graph, mode: ParMode) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    if !mode.go_parallel(n) {
-        let hist = in_degree_histogram_with(g, ParMode::Sequential);
-        let buckets = hist.len();
-        // start[d] = first output slot for degree d when buckets are laid
-        // out from the highest degree down to zero.
+    par::stage(g.num_vertices(), || {
+        let n = g.num_vertices();
+        let (locals, per) = local_histograms(g);
+        let (chunks, buckets) = (locals.len(), locals[0].len());
+        // start[d]: first output slot of degree d (degrees laid out high→low).
         let mut start = vec![0usize; buckets];
         let mut acc = 0usize;
         for d in (0..buckets).rev() {
             start[d] = acc;
-            acc += hist[d];
+            acc += locals.iter().map(|l| l[d]).sum::<usize>();
+        }
+        // bases[c * buckets + d]: chunk c's first slot for degree d, counting
+        // all of degree d's vertices in chunks < c, which keeps ascending
+        // vertex id within a degree.
+        let mut bases = vec![0usize; chunks * buckets];
+        {
+            let shared = SharedSlice::new(&mut bases);
+            (0..buckets).into_par_iter().for_each(|d| {
+                let mut acc = start[d];
+                for (c, l) in locals.iter().enumerate() {
+                    // SAFETY: slots {c * buckets + d | c} are disjoint per d.
+                    unsafe { shared.write(c * buckets + d, acc) };
+                    acc += l[d];
+                }
+            });
         }
         let mut order = vec![0 as VertexId; n];
-        for v in 0..n as VertexId {
-            let d = g.in_degree(v);
-            order[start[d]] = v;
-            start[d] += 1;
+        {
+            let shared = SharedSlice::new(&mut order);
+            (0..chunks).into_par_iter().for_each(|c| {
+                let mut cursor = bases[c * buckets..(c + 1) * buckets].to_vec();
+                for v in (c * per)..((c + 1) * per).min(n) {
+                    let d = g.in_degree(v as VertexId);
+                    // SAFETY: per-chunk cursor ranges partition the output.
+                    unsafe { shared.write(cursor[d], v as VertexId) };
+                    cursor[d] += 1;
+                }
+            });
         }
-        return order;
-    }
-    let max_in = (0..n as VertexId)
-        .into_par_iter()
-        .map(|v| g.in_degree(v))
-        .reduce(|| 0, usize::max);
-    let buckets = max_in + 1;
-    let (chunks, per) = vertex_chunks(n, buckets);
-    let locals = local_histograms(g, buckets, chunks, per);
-    // start[d]: first output slot of degree d (degrees laid out high→low).
-    let mut start = vec![0usize; buckets];
-    let mut acc = 0usize;
-    for d in (0..buckets).rev() {
-        start[d] = acc;
-        acc += locals.iter().map(|l| l[d]).sum::<usize>();
-    }
-    // bases[c * buckets + d]: chunk c's first slot for degree d, counting
-    // all of degree d's vertices in chunks < c — the same stability rule
-    // as the sequential cursor walk (ascending vertex id within a degree).
-    let mut bases = vec![0usize; chunks * buckets];
-    {
-        let shared = SharedSlice::new(&mut bases);
-        (0..buckets).into_par_iter().for_each(|d| {
-            let mut acc = start[d];
-            for (c, l) in locals.iter().enumerate() {
-                // SAFETY: slots {c * buckets + d | c} are disjoint per d.
-                unsafe { shared.write(c * buckets + d, acc) };
-                acc += l[d];
-            }
-        });
-    }
-    let mut order = vec![0 as VertexId; n];
-    {
-        let shared = SharedSlice::new(&mut order);
-        (0..chunks).into_par_iter().for_each(|c| {
-            let mut cursor = bases[c * buckets..(c + 1) * buckets].to_vec();
-            for v in (c * per)..((c + 1) * per).min(n) {
-                let d = g.in_degree(v as VertexId);
-                // SAFETY: per-chunk cursor ranges partition the output.
-                unsafe { shared.write(cursor[d], v as VertexId) };
-                cursor[d] += 1;
-            }
-        });
-    }
-    order
+        order
+    })
 }
 
 /// Estimates the Zipf exponent `s` of the in-degree distribution by a
@@ -277,7 +231,6 @@ mod tests {
     fn degree_arrays_match_graph() {
         let g = Graph::from_edges(3, &[(0, 1), (2, 1), (1, 0)], true);
         assert_eq!(in_degrees(&g), vec![1, 2, 0]);
-        assert_eq!(out_degrees(&g), vec![1, 1, 1]);
     }
 
     #[test]

@@ -311,11 +311,6 @@ pub fn save_edge_list(g: &Graph, path: impl AsRef<Path>) -> Result<(), GraphErro
     save_graph(g, path, Format::EdgeList)
 }
 
-/// Convenience wrapper: reads an edge list from a file path.
-pub fn load_edge_list(path: impl AsRef<Path>, directed: bool) -> Result<Graph, GraphError> {
-    read_edge_list(std::fs::File::open(path)?, directed, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,10 +2,12 @@
 //!
 //! The streaming core reads the input in fixed-size byte chunks aligned to
 //! line boundaries ([`LineChunker`]), gathers a small batch of chunks, and
-//! parses the batch in parallel on rayon (gated by [`ParMode`]). Per-chunk
-//! results are concatenated with a prefix-sum scatter, so the parallel
-//! parse is bit-identical to the sequential one: same edges in the same
-//! order, and on malformed input the same first-in-file error.
+//! parses the batch's chunks in parallel on rayon (a batch under
+//! [`crate::par::AUTO_PAR_THRESHOLD`] bytes on one thread; see
+//! [`crate::par::stage`]). Per-chunk results are concatenated with a
+//! prefix-sum scatter, so the parse is bit-identical for every thread
+//! count: same edges in the same order, and on malformed input the same
+//! first-in-file error.
 //!
 //! Peak parser-side memory is `O(batch * chunk_size + output)`: the input
 //! text is never materialized whole, only the decoded edges/tokens are.
@@ -13,7 +15,7 @@
 use crate::adjacency::Adjacency;
 use crate::graph::Graph;
 use crate::io::is_comment;
-use crate::par::{ParMode, SharedSlice};
+use crate::par::{self, SharedSlice};
 use crate::types::{GraphError, VertexId};
 use rayon::prelude::*;
 use std::io::Read;
@@ -25,18 +27,12 @@ pub struct StreamConfig {
     /// when a single line is longer than the chunk (the chunker always
     /// emits whole lines).
     pub chunk_size: usize,
-    /// Whether chunk batches parse in parallel. Under [`ParMode::Auto`]
-    /// the parallel path engages for batches past the usual size
-    /// threshold when more than one rayon thread is configured; both
-    /// paths produce bit-identical graphs and errors.
-    pub mode: ParMode,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             chunk_size: 4 << 20,
-            mode: ParMode::Auto,
         }
     }
 }
@@ -46,25 +42,6 @@ impl StreamConfig {
     pub fn with_chunk_size(chunk_size: usize) -> StreamConfig {
         StreamConfig {
             chunk_size: chunk_size.max(16),
-            ..StreamConfig::default()
-        }
-    }
-
-    /// A config pinned to the sequential reference path.
-    pub fn sequential() -> StreamConfig {
-        StreamConfig {
-            mode: ParMode::Sequential,
-            ..StreamConfig::default()
-        }
-    }
-
-    /// How many chunks to gather before each parse round. One chunk per
-    /// round in sequential mode (minimal buffering); a few per thread
-    /// otherwise so rayon has work to spread.
-    fn batch_chunks(&self) -> usize {
-        match self.mode {
-            ParMode::Sequential => 1,
-            _ => (2 * rayon::current_num_threads()).max(2),
         }
     }
 }
@@ -256,13 +233,9 @@ fn parse_edge_chunk(chunk: &LineChunk) -> Result<EdgeChunk, GraphError> {
     Ok((edges, max_v))
 }
 
-/// Extends `dst` with every `parts` buffer in order. Large batches copy in
+/// Extends `dst` with every `parts` buffer in order, copying the parts in
 /// parallel: the per-part lengths prefix-sum into disjoint target segments.
-fn concat_into<T: Copy + Default + Send + Sync>(
-    dst: &mut Vec<T>,
-    parts: &[Vec<T>],
-    parallel: bool,
-) {
+fn concat_into<T: Copy + Default + Send + Sync>(dst: &mut Vec<T>, parts: &[Vec<T>]) {
     let old = dst.len();
     let mut starts = Vec::with_capacity(parts.len() + 1);
     starts.push(0usize);
@@ -270,13 +243,6 @@ fn concat_into<T: Copy + Default + Send + Sync>(
         starts.push(starts.last().unwrap() + p.len());
     }
     let total = *starts.last().unwrap();
-    if !parallel {
-        dst.reserve(total);
-        for p in parts {
-            dst.extend_from_slice(p);
-        }
-        return;
-    }
     dst.resize(old + total, T::default());
     let shared = SharedSlice::new(&mut dst[old..]);
     (0..parts.len()).into_par_iter().for_each(|i| {
@@ -307,17 +273,19 @@ fn edge_list_header_hint(first_chunk: &LineChunk) -> Option<usize> {
 }
 
 /// Drives the chunk-batch loop shared by both text readers: gathers up
-/// to a batch of line-aligned chunks, hands each batch to `handle`, and
-/// returns the 1-based number of the input's last line (0 for empty
-/// input). Keeping this scaffold in one place keeps the two readers'
-/// batching, error, and EOF behavior in lockstep.
+/// to a batch of line-aligned chunks, hands each batch to `handle` (as
+/// one [`par::stage`] over the batch's bytes), and returns the 1-based
+/// number of the input's last line (0 for empty input). Keeping this
+/// scaffold in one place keeps the two readers' batching, error, and EOF
+/// behavior in lockstep.
 fn process_batches<R: Read>(
     r: R,
     cfg: &StreamConfig,
     mut handle: impl FnMut(&[LineChunk]) -> Result<(), GraphError>,
 ) -> Result<usize, GraphError> {
     let mut chunker = LineChunker::new(r, cfg.chunk_size);
-    let batch = cfg.batch_chunks();
+    // A few chunks per thread per parse round, so rayon has work to spread.
+    let batch = (2 * rayon::current_num_threads()).max(2);
     let mut pending: Vec<LineChunk> = Vec::new();
     loop {
         let mut eof = false;
@@ -334,7 +302,8 @@ fn process_batches<R: Read>(
         if pending.is_empty() {
             break;
         }
-        handle(&pending)?;
+        let bytes = pending.iter().map(|c| c.bytes.len()).sum();
+        par::stage(bytes, || handle(&pending))?;
         pending.clear();
         if eof {
             break;
@@ -359,27 +328,18 @@ pub fn read_edge_list_with<R: Read>(
             header_hint = edge_list_header_hint(&pending[0]);
             first = false;
         }
-        let bytes: usize = pending.iter().map(|c| c.bytes.len()).sum();
-        if pending.len() > 1 && cfg.mode.go_parallel(bytes) {
-            let parts: Vec<Result<EdgeChunk, GraphError>> = (0..pending.len())
-                .into_par_iter()
-                .map(|i| parse_edge_chunk(&pending[i]))
-                .collect();
-            let mut bufs = Vec::with_capacity(parts.len());
-            for part in parts {
-                // First error in chunk order == first error in file order.
-                let (chunk_edges, chunk_max) = part?;
-                max_v = max_v.max(chunk_max);
-                bufs.push(chunk_edges);
-            }
-            concat_into(&mut edges, &bufs, true);
-        } else {
-            for chunk in pending {
-                let (chunk_edges, chunk_max) = parse_edge_chunk(chunk)?;
-                max_v = max_v.max(chunk_max);
-                edges.extend_from_slice(&chunk_edges);
-            }
+        let parts: Vec<Result<EdgeChunk, GraphError>> = (0..pending.len())
+            .into_par_iter()
+            .map(|i| parse_edge_chunk(&pending[i]))
+            .collect();
+        let mut bufs = Vec::with_capacity(parts.len());
+        for part in parts {
+            // First error in chunk order == first error in file order.
+            let (chunk_edges, chunk_max) = part?;
+            max_v = max_v.max(chunk_max);
+            bufs.push(chunk_edges);
         }
+        concat_into(&mut edges, &bufs);
         Ok(())
     })?;
     let n = (max_v as usize + 1)
@@ -484,7 +444,7 @@ struct AdjacencyScatter {
 }
 
 impl AdjacencyBuilder {
-    fn consume(&mut self, chunks: Vec<TokenChunk>, mode: ParMode) -> Result<(), GraphError> {
+    fn consume(&mut self, chunks: Vec<TokenChunk>) -> Result<(), GraphError> {
         match self {
             AdjacencyBuilder::Buffering(buffered) => {
                 buffered.extend(chunks);
@@ -516,11 +476,11 @@ impl AdjacencyBuilder {
                     expected,
                     seen: 0,
                 };
-                sc.scatter(buffered, mode)?;
+                sc.scatter(buffered)?;
                 *self = AdjacencyBuilder::Scattering(sc);
                 Ok(())
             }
-            AdjacencyBuilder::Scattering(sc) => sc.scatter(&chunks, mode),
+            AdjacencyBuilder::Scattering(sc) => sc.scatter(&chunks),
         }
     }
 
@@ -551,10 +511,10 @@ impl AdjacencyBuilder {
 
 impl AdjacencyScatter {
     /// Scatters a batch of token chunks at global token positions
-    /// `seen..`, in parallel when the batch warrants it. Token `g` lands
+    /// `seen..`, one chunk per task. Token `g` lands
     /// in `offsets[g - 2]` for `g < 2 + n`, else in `targets[g - 2 - n]`
     /// (range-checked); excess tokens error with their line.
-    fn scatter(&mut self, chunks: &[TokenChunk], mode: ParMode) -> Result<(), GraphError> {
+    fn scatter(&mut self, chunks: &[TokenChunk]) -> Result<(), GraphError> {
         let mut starts = Vec::with_capacity(chunks.len() + 1);
         starts.push(self.seen);
         for c in chunks {
@@ -568,61 +528,41 @@ impl AdjacencyScatter {
         self.targets
             .resize(self.m.min(end.saturating_sub(2 + self.n)), 0);
         let (n, expected) = (self.n, self.expected);
-        let scatter_one = |c: usize,
-                           offsets: &mut dyn FnMut(usize, usize),
-                           targets: &mut dyn FnMut(usize, VertexId)|
-         -> Result<(), GraphError> {
-            for (j, &val) in chunks[c].values.iter().enumerate() {
-                let g = starts[c] + j;
-                if g < 2 {
-                    continue; // n and m, already consumed
-                } else if g < 2 + n {
-                    offsets(g - 2, val as usize);
-                } else if g < expected {
-                    if val >= n as u64 {
-                        return Err(GraphError::VertexOutOfRangeAt {
+        let off_shared = SharedSlice::new(&mut self.offsets);
+        let tgt_shared = SharedSlice::new(&mut self.targets);
+        let results: Vec<Result<(), GraphError>> = (0..chunks.len())
+            .into_par_iter()
+            .map(|c| {
+                for (j, &val) in chunks[c].values.iter().enumerate() {
+                    let g = starts[c] + j;
+                    // SAFETY (both writes): global token indices are
+                    // disjoint across chunks, so every slot is written by
+                    // one chunk, and the arrays were grown to hold them.
+                    if g < 2 {
+                        continue; // n and m, already consumed
+                    } else if g < 2 + n {
+                        unsafe { off_shared.write(g - 2, val as usize) };
+                    } else if g < expected {
+                        if val >= n as u64 {
+                            return Err(GraphError::VertexOutOfRangeAt {
+                                line: chunks[c].line_of(j),
+                                vertex: val,
+                                num_vertices: n,
+                            });
+                        }
+                        unsafe { tgt_shared.write(g - 2 - n, val as VertexId) };
+                    } else {
+                        return Err(GraphError::Parse {
                             line: chunks[c].line_of(j),
-                            vertex: val,
-                            num_vertices: n,
+                            message: format!("expected {expected} tokens, found more"),
                         });
                     }
-                    targets(g - 2 - n, val as VertexId);
-                } else {
-                    return Err(GraphError::Parse {
-                        line: chunks[c].line_of(j),
-                        message: format!("expected {expected} tokens, found more"),
-                    });
                 }
-            }
-            Ok(())
-        };
-        if mode.go_parallel(total) && chunks.len() > 1 {
-            let off_shared = SharedSlice::new(&mut self.offsets);
-            let tgt_shared = SharedSlice::new(&mut self.targets);
-            let results: Vec<Result<(), GraphError>> = (0..chunks.len())
-                .into_par_iter()
-                .map(|c| {
-                    // SAFETY: global token indices are disjoint across
-                    // chunks, so every slot is written by one chunk.
-                    scatter_one(
-                        c,
-                        &mut |i, v| unsafe { off_shared.write(i, v) },
-                        &mut |i, v| unsafe { tgt_shared.write(i, v) },
-                    )
-                })
-                .collect();
-            for r in results {
-                r?;
-            }
-        } else {
-            let mut offsets = std::mem::take(&mut self.offsets);
-            let mut targets = std::mem::take(&mut self.targets);
-            let result = (0..chunks.len()).try_for_each(|c| {
-                scatter_one(c, &mut |i, v| offsets[i] = v, &mut |i, v| targets[i] = v)
-            });
-            self.offsets = offsets;
-            self.targets = targets;
-            result?;
+                Ok(())
+            })
+            .collect();
+        for r in results {
+            r?;
         }
         self.seen += total;
         Ok(())
@@ -652,21 +592,14 @@ pub fn read_adjacency_graph_with<R: Read>(
             first_parallel += 1;
         }
         let rest = &pending[first_parallel..];
-        let bytes: usize = rest.iter().map(|c| c.bytes.len()).sum();
-        if rest.len() > 1 && cfg.mode.go_parallel(bytes) {
-            let parts: Vec<Result<(TokenChunk, bool), GraphError>> = (0..rest.len())
-                .into_par_iter()
-                .map(|i| parse_token_chunk(&rest[i], false))
-                .collect();
-            for part in parts {
-                parsed.push(part?.0);
-            }
-        } else {
-            for chunk in rest {
-                parsed.push(parse_token_chunk(chunk, false)?.0);
-            }
+        let parts: Vec<Result<(TokenChunk, bool), GraphError>> = (0..rest.len())
+            .into_par_iter()
+            .map(|i| parse_token_chunk(&rest[i], false))
+            .collect();
+        for part in parts {
+            parsed.push(part?.0);
         }
-        builder.consume(parsed, cfg.mode)
+        builder.consume(parsed)
     })?;
     if !header_seen {
         return Err(GraphError::Parse {

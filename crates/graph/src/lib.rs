@@ -50,7 +50,7 @@ pub use dynamic::{
 };
 pub use graph::{mix64, Graph};
 pub use io::{Format, LoadMode, StreamConfig};
-pub use par::{ParMode, SharedSlice};
+pub use par::SharedSlice;
 pub use permute::{Permutation, VertexOrdering};
 pub use storage::{GraphStorage, MappedSlice, Mmap, StorageKind};
 pub use types::{EdgeId, GraphError, VertexId};

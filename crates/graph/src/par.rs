@@ -2,12 +2,12 @@
 //!
 //! Two things live here:
 //!
-//! * [`ParMode`] — the policy knob threaded through the CSR builder,
-//!   [`crate::Permutation::apply_graph`], and VEBO's blocked placement.
-//!   `Auto` (the default everywhere) picks the parallel path only when the
-//!   input is large enough to amortize thread startup *and* more than one
-//!   rayon thread is configured, so unit tests and tiny graphs keep the
-//!   exact sequential code path.
+//! * [`stage`] — the one place that decides how many chunks a pipeline
+//!   stage (CSR build, transpose, [`crate::Permutation::apply_graph`],
+//!   the degree sort, VEBO's scatters, the text parsers) splits into.
+//!   Each stage has a single chunked body whose output does not depend
+//!   on the chunk count; the input size and the rayon thread count pick
+//!   that count, and below [`AUTO_PAR_THRESHOLD`] elements it is one.
 //! * [`SharedSlice`] — the unsafe scatter primitive the parallel paths
 //!   share: a `Sync` view of a mutable slice that threads write through at
 //!   provably disjoint indices (counting-sort slots, permutation targets,
@@ -18,33 +18,24 @@
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 
-/// How a parallelizable stage should execute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ParMode {
-    /// Parallel when the input is large and >1 rayon thread is available.
-    #[default]
-    Auto,
-    /// Always the sequential reference path.
-    Sequential,
-    /// Always the parallel path (even on small inputs; used by tests).
-    Parallel,
-}
-
-/// Inputs below this many elements never parallelize under
-/// [`ParMode::Auto`]: thread startup costs tens of microseconds, which
-/// dominates counting sorts of this size.
+/// Stages over fewer elements than this run as one chunk: thread startup
+/// costs tens of microseconds, which dominates counting sorts of this
+/// size.
 pub const AUTO_PAR_THRESHOLD: usize = 1 << 15;
 
-impl ParMode {
-    /// Whether a stage over `len` elements should run in parallel.
-    #[inline]
-    pub fn go_parallel(self, len: usize) -> bool {
-        match self {
-            ParMode::Sequential => false,
-            ParMode::Parallel => true,
-            ParMode::Auto => len >= AUTO_PAR_THRESHOLD && rayon::current_num_threads() > 1,
-        }
+/// Runs a stage over `len` elements. Below [`AUTO_PAR_THRESHOLD`] it
+/// runs inside a one-thread pool, so every rayon call in it runs inline
+/// as a single chunk; at or above it, the stage spreads over the
+/// current pool.
+pub fn stage<R>(len: usize, f: impl FnOnce() -> R) -> R {
+    if len >= AUTO_PAR_THRESHOLD || rayon::current_num_threads() == 1 {
+        return f();
     }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool always builds")
+        .install(f)
 }
 
 /// A `Sync` view over a mutable slice for disjoint parallel scatters.
@@ -149,10 +140,15 @@ mod tests {
     use rayon::prelude::*;
 
     #[test]
-    fn auto_mode_gates_on_size() {
-        assert!(!ParMode::Auto.go_parallel(10));
-        assert!(!ParMode::Sequential.go_parallel(usize::MAX));
-        assert!(ParMode::Parallel.go_parallel(0));
+    fn stage_runs_small_inputs_as_one_chunk() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            assert_eq!(stage(AUTO_PAR_THRESHOLD - 1, rayon::current_num_threads), 1);
+            assert_eq!(stage(AUTO_PAR_THRESHOLD, rayon::current_num_threads), 4);
+        });
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::graph::Graph;
-use crate::par::{weighted_ranges, ParMode, SharedSlice};
+use crate::par::{self, weighted_ranges, SharedSlice};
 use crate::types::{GraphError, VertexId};
 use rayon::prelude::*;
 
@@ -123,41 +123,32 @@ impl Permutation {
     /// Relabels a graph: vertex `old` becomes `self.new_id(old)` and every
     /// arc `(u, v)` becomes `(S[u], S[v])`. Edge weights travel with their
     /// arcs. The result is isomorphic to the input.
-    pub fn apply_graph(&self, g: &Graph) -> Graph {
-        self.apply_graph_with(g, ParMode::default())
-    }
-
-    /// As [`Permutation::apply_graph`] with an explicit execution mode;
-    /// both paths produce identical graphs.
     ///
     /// The permuted CSR is constructed directly — new vertex `S[u]`
     /// inherits `u`'s degree, so offsets are a scatter of the old degree
     /// array and each neighbor list is gathered, relabeled, and sorted in
     /// place. No intermediate edge list is materialized, and every
-    /// per-vertex step parallelizes over edge-balanced ranges of new ids.
-    pub fn apply_graph_with(&self, g: &Graph, mode: ParMode) -> Graph {
+    /// per-vertex step runs over edge-balanced ranges of new ids.
+    pub fn apply_graph(&self, g: &Graph) -> Graph {
         assert_eq!(self.len(), g.num_vertices());
+        par::stage(g.num_edges(), || self.relabel(g))
+    }
+
+    fn relabel(&self, g: &Graph) -> Graph {
         let n = g.num_vertices();
         let m = g.num_edges();
         let csr = g.csr();
-        let parallel = mode.go_parallel(m);
         let inv = self.inverse();
         let old_of = inv.as_slice();
 
         // Offsets: new vertex k has the degree of old vertex old_of[k].
         let mut offsets = vec![0usize; n + 1];
-        if parallel {
-            offsets[1..]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(k, slot)| {
-                    *slot = csr.degree(old_of[k]);
-                });
-        } else {
-            for k in 0..n {
-                offsets[k + 1] = csr.degree(old_of[k]);
-            }
-        }
+        offsets[1..]
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(k, slot)| {
+                *slot = csr.degree(old_of[k]);
+            });
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
@@ -165,54 +156,37 @@ impl Permutation {
         // Gather + relabel + sort each new neighbor list.
         let mut targets = vec![0 as VertexId; m];
         let mut weights = csr.raw_weights().map(|_| vec![0f32; m]);
-        // `scratch` is the weighted sort's zip buffer, one per vertex range.
-        let relabel_list = |k: usize,
-                            list: &mut [VertexId],
-                            wts: Option<&mut [f32]>,
-                            scratch: &mut Vec<(VertexId, f32)>| {
-            let u = old_of[k];
-            for (j, &v) in csr.neighbors(u).iter().enumerate() {
-                list[j] = self.new_id(v);
-            }
-            match wts {
-                Some(wts) => {
-                    wts.copy_from_slice(csr.weights_of(u));
-                    crate::adjacency::sort_weighted_list(list, wts, scratch);
-                }
-                None => list.sort_unstable(),
-            }
-        };
-        if parallel {
+        {
             let ranges = weighted_ranges(&offsets, rayon::current_num_threads());
             let tshared = SharedSlice::new(&mut targets);
             let wshared = weights.as_mut().map(|w| SharedSlice::new(w.as_mut_slice()));
             let (ranges, offsets) = (&ranges, &offsets);
             (0..ranges.len()).into_par_iter().for_each(|ri| {
+                // The weighted sort's zip buffer, one per vertex range.
                 let mut scratch = Vec::new();
                 for k in ranges[ri].clone() {
                     // SAFETY: new-id ranges are disjoint, so the edge
                     // ranges [offsets[k], offsets[k+1]) are too.
                     let list = unsafe { tshared.slice_mut(offsets[k], offsets[k + 1]) };
-                    let wts = wshared
-                        .as_ref()
-                        .map(|ws| unsafe { ws.slice_mut(offsets[k], offsets[k + 1]) });
-                    relabel_list(k, list, wts, &mut scratch);
+                    let u = old_of[k];
+                    for (j, &v) in csr.neighbors(u).iter().enumerate() {
+                        list[j] = self.new_id(v);
+                    }
+                    match &wshared {
+                        Some(ws) => {
+                            // SAFETY: the same disjoint edge range.
+                            let wts = unsafe { ws.slice_mut(offsets[k], offsets[k + 1]) };
+                            wts.copy_from_slice(csr.weights_of(u));
+                            crate::adjacency::sort_weighted_list(list, wts, &mut scratch);
+                        }
+                        None => list.sort_unstable(),
+                    }
                 }
             });
-        } else {
-            let mut scratch = Vec::new();
-            for k in 0..n {
-                let range = offsets[k]..offsets[k + 1];
-                let (list, wts) = match weights.as_mut() {
-                    Some(w) => (&mut targets[range.clone()], Some(&mut w[range])),
-                    None => (&mut targets[range], None),
-                };
-                relabel_list(k, list, wts, &mut scratch);
-            }
         }
 
         let out = Adjacency::from_parts_unchecked(offsets, targets, weights);
-        let into = out.transpose_with(mode);
+        let into = out.transpose();
         Graph::from_parts(out, into, g.is_directed()).expect("permuted graph is well-formed")
     }
 

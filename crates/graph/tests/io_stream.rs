@@ -1,13 +1,14 @@
 //! Property tests for the streaming I/O subsystem: the chunked parallel
 //! parsers must be bit-identical to naive in-memory reference parsers for
-//! every format, for arbitrary graphs, chunk sizes, and read-size caps —
-//! and the binary round-trip must reproduce the CSR arrays exactly.
+//! every format, for arbitrary graphs, chunk sizes, read-size caps and
+//! thread counts — and the binary round-trip must reproduce the CSR
+//! arrays exactly.
 
 use proptest::prelude::*;
 use std::io::Read;
 use vebo_graph::graph::mix64;
 use vebo_graph::io::{self, Format, LineChunker, StreamConfig};
-use vebo_graph::{Graph, GraphError, ParMode, StorageKind, VertexId};
+use vebo_graph::{Graph, GraphError, StorageKind, VertexId};
 
 /// A reader that returns at most `cap` bytes per `read` call — the
 /// adversarial transport for the bounded-allocation guarantees.
@@ -124,9 +125,45 @@ fn with_temp_vgr<R>(bytes: &[u8], f: impl FnOnce(&std::path::Path) -> R) -> R {
     out
 }
 
-fn in_pool<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+/// Arbitrary multigraphs with few vertices and 20k-24k edges: their text
+/// spans several parse batches, and a batch of 4200-byte chunks at four
+/// threads is past the one-chunk threshold.
+fn arb_long_graph() -> impl Strategy<Value = Graph> {
+    (1usize..60, 20_000usize..24_000, any::<u64>(), any::<bool>()).prop_map(
+        |(n, m, seed, directed)| {
+            let mut x = seed;
+            let edges: Vec<(VertexId, VertexId)> = (0..m)
+                .map(|_| {
+                    x = mix64(x);
+                    (
+                        (x % n as u64) as VertexId,
+                        ((x >> 32) % n as u64) as VertexId,
+                    )
+                })
+                .collect();
+            Graph::from_edges(n, &edges, directed)
+        },
+    )
+}
+
+/// Chunk sizes: tiny ones that put boundaries everywhere, and ones large
+/// enough that a 4-thread batch (eight chunks) is parsed in four chunks.
+fn arb_chunk() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 16usize..300, 4200usize..9000).prop_map(
+        |(large, tiny, big)| {
+            if large {
+                big
+            } else {
+                tiny
+            }
+        },
+    )
+}
+
+/// Runs `f` with `threads` rayon threads.
+fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
+        .num_threads(threads)
         .build()
         .unwrap()
         .install(f)
@@ -143,10 +180,10 @@ fn assert_same(a: &Graph, b: &Graph, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Streamed parallel edge-list parse == sequential parse == naive
+    /// Streamed edge-list parse at one thread == at four threads == naive
     /// reference, across chunk sizes that force mid-file boundaries.
     #[test]
-    fn edge_list_streaming_matches_reference(g in arb_graph(), chunk in 16usize..300) {
+    fn edge_list_streaming_matches_reference(g in arb_long_graph(), chunk in arb_chunk()) {
         let mut buf = Vec::new();
         io::write_edge_list(&g, &mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
@@ -155,37 +192,29 @@ proptest! {
         // even with trailing isolated vertices.
         assert_same(&g, &reference, "writer/reference");
 
-        let mut seq_cfg = StreamConfig::with_chunk_size(chunk);
-        seq_cfg.mode = ParMode::Sequential;
-        let seq = io::read_edge_list_with(&buf[..], g.is_directed(), None, &seq_cfg).unwrap();
-        assert_same(&reference, &seq, "sequential stream");
-
-        let mut par_cfg = StreamConfig::with_chunk_size(chunk);
-        par_cfg.mode = ParMode::Parallel;
-        let par = in_pool(|| {
-            io::read_edge_list_with(&buf[..], g.is_directed(), None, &par_cfg).unwrap()
-        });
-        assert_same(&reference, &par, "parallel stream");
+        let cfg = StreamConfig::with_chunk_size(chunk);
+        for threads in [1, 4] {
+            let h = in_pool(threads, || {
+                io::read_edge_list_with(&buf[..], g.is_directed(), None, &cfg).unwrap()
+            });
+            assert_same(&reference, &h, &format!("stream at {threads} threads"));
+        }
     }
 
-    /// Streamed AdjacencyGraph parse (sequential and parallel, tiny
-    /// chunks) reproduces the writer's graph exactly.
+    /// Streamed AdjacencyGraph parse at one and at four threads, tiny and
+    /// large chunks, reproduces the writer's graph exactly.
     #[test]
-    fn adjacency_streaming_matches_writer(g in arb_graph(), chunk in 16usize..300) {
+    fn adjacency_streaming_matches_writer(g in arb_long_graph(), chunk in arb_chunk()) {
         let mut buf = Vec::new();
         io::write_adjacency_graph(&g, &mut buf).unwrap();
 
-        let mut seq_cfg = StreamConfig::with_chunk_size(chunk);
-        seq_cfg.mode = ParMode::Sequential;
-        let seq = io::read_adjacency_graph_with(&buf[..], g.is_directed(), &seq_cfg).unwrap();
-        assert_same(&g, &seq, "sequential stream");
-
-        let mut par_cfg = StreamConfig::with_chunk_size(chunk);
-        par_cfg.mode = ParMode::Parallel;
-        let par = in_pool(|| {
-            io::read_adjacency_graph_with(&buf[..], g.is_directed(), &par_cfg).unwrap()
-        });
-        assert_same(&g, &par, "parallel stream");
+        let cfg = StreamConfig::with_chunk_size(chunk);
+        for threads in [1, 4] {
+            let h = in_pool(threads, || {
+                io::read_adjacency_graph_with(&buf[..], g.is_directed(), &cfg).unwrap()
+            });
+            assert_same(&g, &h, &format!("stream at {threads} threads"));
+        }
     }
 
     /// Binary round-trip reproduces offsets and targets exactly, and
@@ -367,7 +396,7 @@ fn multi_chunk_capped_read_is_bounded_and_exact() {
     io::write_edge_list(&g, &mut buf).unwrap();
     assert!(buf.len() > 60_000, "test input must span many chunks");
 
-    let chunk_size = 1024;
+    let chunk_size = 4500;
     let mut chunker = LineChunker::new(
         Capped {
             inner: &buf[..],
@@ -394,12 +423,12 @@ fn multi_chunk_capped_read_is_bounded_and_exact() {
         longest_line
     );
 
-    // End-to-end through the same adapter: identical graph, in both
-    // execution modes.
-    for mode in [ParMode::Sequential, ParMode::Parallel] {
-        let mut cfg = StreamConfig::with_chunk_size(chunk_size);
-        cfg.mode = mode;
-        let h = in_pool(|| {
+    // End-to-end through the same adapter: identical graph at one thread
+    // and at four, where each batch of eight chunks is past the one-chunk
+    // threshold.
+    for threads in [1, 4] {
+        let cfg = StreamConfig::with_chunk_size(chunk_size);
+        let h = in_pool(threads, || {
             io::read_edge_list_with(
                 Capped {
                     inner: &buf[..],

@@ -7,14 +7,19 @@ use proptest::prelude::*;
 use vebo::core::balance::BalanceReport;
 use vebo::core::Vebo;
 use vebo::graph::gen::powerlaw::{zipf_directed, ZipfGraphConfig};
-use vebo::graph::{Graph, ParMode};
+use vebo::graph::par::AUTO_PAR_THRESHOLD;
+use vebo::graph::Graph;
 use vebo::{chunked_balance_report, OrderingRegistry, ORDERING_NAMES};
 
 /// A directed power-law (Zipf in-degree) graph satisfying the theorem
 /// preconditions at the chosen partition counts.
 fn power_law(seed: u64) -> Graph {
+    power_law_of(4000, seed)
+}
+
+fn power_law_of(num_vertices: usize, seed: u64) -> Graph {
     zipf_directed(&ZipfGraphConfig {
-        num_vertices: 4000,
+        num_vertices,
         num_ranks: 32,
         s: 1.0,
         out_skew: 1.0,
@@ -55,22 +60,25 @@ proptest! {
         }
     }
 
-    /// The blocked variant's parallel scatter stages produce exactly the
-    /// sequential result, permutation included.
+    /// The blocked variant — degree sort, placement and scatter — gives
+    /// the same result at one and at four threads, permutation included,
+    /// on graphs past the one-chunk threshold.
     #[test]
     fn vebo_parallel_scatter_matches_sequential(seed in any::<u64>(), p in 1usize..24) {
-        let g = power_law(seed);
-        let seq = Vebo::new(p).with_mode(ParMode::Sequential).compute_full(&g);
-        let par = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| Vebo::new(p).with_mode(ParMode::Parallel).compute_full(&g));
-        prop_assert_eq!(seq.permutation.as_slice(), par.permutation.as_slice());
-        prop_assert_eq!(seq.assignment, par.assignment);
-        prop_assert_eq!(seq.vertex_counts, par.vertex_counts);
-        prop_assert_eq!(seq.edge_counts, par.edge_counts);
-        prop_assert_eq!(seq.starts, par.starts);
+        let g = power_law_of(AUTO_PAR_THRESHOLD + 1000, seed);
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| Vebo::new(p).compute_full(&g))
+        };
+        let (one, four) = (run(1), run(4));
+        prop_assert_eq!(one.permutation.as_slice(), four.permutation.as_slice());
+        prop_assert_eq!(one.assignment, four.assignment);
+        prop_assert_eq!(one.vertex_counts, four.vertex_counts);
+        prop_assert_eq!(one.edge_counts, four.edge_counts);
+        prop_assert_eq!(one.starts, four.starts);
     }
 }
 
